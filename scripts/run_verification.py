@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run the full verification battery and write one JSON report per sweep.
 
-Covers the three exhaustive finite rings, four randomized rational/Gaussian
-streams, and the constructed SEP / EP-only / shift-pattern streams.  Reports
-land in ./reports/ (or the directory given with --out-dir).  Exits nonzero
-if any sweep finds a counterexample, which a correct build never does.
+Runs the sweeps of `starring.harness.BATTERY`: the three exhaustive finite
+rings, four randomized rational/Gaussian streams, and the constructed SEP /
+EP-only / shift-pattern streams.  Reports land in ./reports/ (or the
+directory given with --out-dir).  Exits nonzero if any sweep finds a
+counterexample, which a correct build never does.
 """
 
 import argparse
@@ -14,24 +15,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from starring.harness import GeneratorSpec, Mode, sweep
-from starring.starfield import GAUSSIAN, RATIONAL, prime_field, quad_ext_field
-
-BATTERY = [
-    ("exhaustive-f2-dim2", GeneratorSpec(Mode.EXHAUSTIVE, prime_field(2), 2)),
-    ("exhaustive-f3-dim2", GeneratorSpec(Mode.EXHAUSTIVE, prime_field(3), 2)),
-    ("exhaustive-f4-dim2", GeneratorSpec(Mode.EXHAUSTIVE, quad_ext_field(2), 2)),
-    ("random-q-dim2", GeneratorSpec(Mode.RANDOM, RATIONAL, 2, 500, 101)),
-    ("random-q-dim3", GeneratorSpec(Mode.RANDOM, RATIONAL, 3, 500, 102)),
-    ("random-qi-dim2", GeneratorSpec(Mode.RANDOM, GAUSSIAN, 2, 500, 103)),
-    ("random-qi-dim3", GeneratorSpec(Mode.RANDOM, GAUSSIAN, 3, 500, 104)),
-    ("constructed-sep-qi-dim3",
-     GeneratorSpec(Mode.CONSTRUCTED_SEP, GAUSSIAN, 3, 50, 301)),
-    ("constructed-ep-qi-dim3",
-     GeneratorSpec(Mode.CONSTRUCTED_EP, GAUSSIAN, 3, 50, 302)),
-    ("constructed-pi-qi-dim3",
-     GeneratorSpec(Mode.CONSTRUCTED_PI, GAUSSIAN, 3, 50, 303)),
-]
+from starring.harness import BATTERY, sweep
 
 
 def main():
@@ -48,7 +32,7 @@ def main():
 
     bad = 0
     t0 = time.perf_counter()
-    for name, spec in BATTERY:
+    for name, spec in BATTERY.items():
         report = sweep(spec, entry_ids)
         path = out_dir / f"{name}.json"
         path.write_text(report.to_json() + "\n", encoding="utf-8")

@@ -23,10 +23,11 @@ class Classification:
     group_invertible: bool
 
     def __post_init__(self):
-        # sep forces ep, pi and both memberships; a projection is always sep
-        assert not self.is_sep or (self.is_ep and self.is_pi
-                                   and self.mp_invertible and self.group_invertible)
-        assert not self.is_projection or self.is_sep
+        if self.is_sep and not (self.is_ep and self.is_pi
+                                and self.mp_invertible and self.group_invertible):
+            raise ValueError("sep forces ep, pi and both memberships")
+        if self.is_projection and not self.is_sep:
+            raise ValueError("a projection is always sep")
 
 
 def is_projection(e: Matrix) -> bool:
@@ -72,14 +73,13 @@ def is_sep(b: InverseBundle) -> bool:
 
 def classify(b: InverseBundle) -> Classification:
     """Lenient classification; absent inverses yield False memberships."""
-    pi = b.has_mp and b.star == b.mp
-    ep = b.has_mp and b.has_group and b.mp == b.group
-    sep = ep and pi
+    pi = b.has_mp and is_pi(b)
+    ep = b.has_mp and b.has_group and is_ep(b)
     return Classification(
         is_projection=is_projection(b.a),
         is_ep=ep,
         is_pi=pi,
-        is_sep=sep,
+        is_sep=ep and pi,
         mp_invertible=b.has_mp,
         group_invertible=b.has_group,
     )

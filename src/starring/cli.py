@@ -2,8 +2,15 @@
 
 Subcommands: invert, classify, verify, enumerate, theorems.  Exit codes are
 stable: 0 clean, 1 a verification sweep found counterexamples, 2 usage or
-parse errors.  All output uses the same scalar grammar the parsers accept,
-so printed matrices can be fed straight back in.
+parse errors, 3 an internal error (any other exception, reported on stderr
+with its traceback and an `error:` line; never 1, so a crash cannot pass
+for a counterexample).  All output uses the same scalar grammar the parsers
+accept, so printed matrices can be fed straight back in.
+
+`verify` holds its whole element stream in memory: about 0.4 KB per M_2
+element and 0.7 to 1.2 KB per M_3 or M_4 element, so about 380 MB for the
+largest exhaustive stream the budget admits, M_2(F_31).  The named sweeps
+of the verification battery are `starring.harness.BATTERY`.
 """
 
 from __future__ import annotations
@@ -294,6 +301,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        import traceback  # imported here: only a crash needs it, and it is slow to load
+        traceback.print_exc()
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

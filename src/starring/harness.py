@@ -18,7 +18,14 @@ from fractions import Fraction
 from .classify import is_projection, is_sep
 from .geninv import InverseBundle
 from .matrix import MAX_DIMENSION, Matrix
-from .starfield import FieldDescriptor, FieldKind
+from .starfield import (
+    GAUSSIAN,
+    RATIONAL,
+    FieldDescriptor,
+    FieldKind,
+    prime_field,
+    quad_ext_field,
+)
 from .theorems import (
     Kind,
     TheoremEntry,
@@ -57,9 +64,6 @@ class Mode(Enum):
     CONSTRUCTED_SEP = "constructed-sep"
     CONSTRUCTED_EP = "constructed-ep"
     CONSTRUCTED_PI = "constructed-pi"
-
-
-_CONSTRUCTED = (Mode.CONSTRUCTED_SEP, Mode.CONSTRUCTED_EP, Mode.CONSTRUCTED_PI)
 
 
 @dataclass(frozen=True)
@@ -252,6 +256,22 @@ def generate(spec: GeneratorSpec):
         yield _constructed_core(spec, rng)
 
 
+#: The verification battery: the named sweeps that scripts/run_verification.py
+#: runs and the acceptance tests share.
+BATTERY = {
+    "exhaustive-f2-dim2": GeneratorSpec(Mode.EXHAUSTIVE, prime_field(2), 2),
+    "exhaustive-f3-dim2": GeneratorSpec(Mode.EXHAUSTIVE, prime_field(3), 2),
+    "exhaustive-f4-dim2": GeneratorSpec(Mode.EXHAUSTIVE, quad_ext_field(2), 2),
+    "random-q-dim2": GeneratorSpec(Mode.RANDOM, RATIONAL, 2, 500, 101),
+    "random-q-dim3": GeneratorSpec(Mode.RANDOM, RATIONAL, 3, 500, 102),
+    "random-qi-dim2": GeneratorSpec(Mode.RANDOM, GAUSSIAN, 2, 500, 103),
+    "random-qi-dim3": GeneratorSpec(Mode.RANDOM, GAUSSIAN, 3, 500, 104),
+    "constructed-sep-qi-dim3": GeneratorSpec(Mode.CONSTRUCTED_SEP, GAUSSIAN, 3, 50, 301),
+    "constructed-ep-qi-dim3": GeneratorSpec(Mode.CONSTRUCTED_EP, GAUSSIAN, 3, 50, 302),
+    "constructed-pi-qi-dim3": GeneratorSpec(Mode.CONSTRUCTED_PI, GAUSSIAN, 3, 50, 303),
+}
+
+
 # -- sweeping --------------------------------------------------------------------
 
 def resolve_entries(entry_ids) -> list[TheoremEntry]:
@@ -268,10 +288,6 @@ def resolve_entries(entry_ids) -> list[TheoremEntry]:
             raise UnknownEntryError(f"unknown theorem entry {i!r}")
         out.append(table[i])
     return out
-
-
-def _serialize_matrix(m: Matrix) -> list[list[str]]:
-    return m.to_tokens()
 
 
 def _sort_key(record: dict) -> str:
@@ -312,13 +328,23 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _pair_indices(total: int):
-    """Up to PAIR_BUDGET ordered-pair indices out of total^2, strided
-    deterministically across the full product when over budget."""
+def _l31_pairs(spec: GeneratorSpec, total: int):
+    """Stream indices (i, j) of the ordered (e, a) pairs fed to L3.1, at most
+    PAIR_BUDGET of them.  An exhaustive stream takes every pair, or strides
+    deterministically across all total^2 of them when over budget; the other
+    streams draw from a seeded generator, e before a."""
     npairs = total * total
-    if npairs <= PAIR_BUDGET:
-        return range(npairs)
-    return (k * npairs // PAIR_BUDGET for k in range(PAIR_BUDGET))
+    count = min(PAIR_BUDGET, npairs)
+    if spec.mode is Mode.EXHAUSTIVE:
+        return (divmod(k * npairs // count, total) for k in range(count))
+    pair_rng = random.Random((spec.seed or 0) * 2654435761 + 97)
+    return ((pair_rng.randrange(total), pair_rng.randrange(total))
+            for _ in range(count))
+
+
+#: report keys of an entry tally (agreeing, disagreeing), by entry.gated
+_TALLY_KEYS = {True: ("consistent", "counterexamples"),
+               False: ("agreeing", "mismatches")}
 
 
 def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
@@ -327,76 +353,56 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
     Elements outside R^# intersect R^+ are excluded from SEP-kind evaluation
     but still count toward membership totals, feed X3 when MP-invertible,
     and participate in both lemma checks.
+
+    The stream is drawn once and held in memory as a list, which the
+    projection scan, the bundle pass and the L3.1 pairs all read: about
+    0.4 KB per M_2 element and 0.7 to 1.2 KB per M_3 or M_4 element, so
+    about 380 MB at the EXHAUSTIVE_BUDGET ceiling, M_2(F_31).
     """
     spec.validate()
     entries = resolve_entries(entry_ids)
     t0 = time.perf_counter()
 
-    sep_entries = [e for e in entries if e.kind is Kind.SEP and e.gated]
-    info_entries = [e for e in entries if not e.gated]
+    sep_entries = [e for e in entries if e.kind is Kind.SEP]
     pi_entries = [e for e in entries if e.kind is Kind.PI]
+    tallies = {}
+    for e in entries:
+        good, bad = _TALLY_KEYS[e.gated]
+        tallies[e.id] = {"checked": 0, good: 0, bad: []}
 
-    tallies = {e.id: {"checked": 0, "consistent": 0, "counterexamples": []}
-               for e in entries if e.gated}
-    info_tallies = {e.id: {"checked": 0, "agreeing": 0, "mismatches": []}
-                    for e in info_entries}
+    stream = list(generate(spec))
+    projections = [m for m in dict.fromkeys(stream) if is_projection(m)]
 
-    exhaustive = spec.mode is Mode.EXHAUSTIVE
-    stream = None if exhaustive else list(generate(spec))
-
-    # pass 1: projections, cheaply (no inverses needed)
-    projections = []
-    seen = set()
-    for m in (generate(spec) if exhaustive else stream):
-        if m not in seen and is_projection(m):
-            projections.append(m)
-            seen.add(m)
-
-    totals = {"generated": 0, "mpInvertible": 0, "groupInvertible": 0,
+    totals = {"generated": len(stream), "mpInvertible": 0, "groupInvertible": 0,
               "bothInvertible": 0, "sep": 0}
     sandwich = {"checked": 0, "vacuous": 0, "violations": []}
+    duality = {"checked": 0, "violations": []}
 
     def record(entry, bundle):
         case = evaluate(entry, bundle)
-        if entry.gated:
-            t = tallies[entry.id]
-            t["checked"] += 1
-            if case.verdict is Verdict.CONSISTENT:
-                t["consistent"] += 1
-            else:
-                t["counterexamples"].append({
-                    "element": _serialize_matrix(case.element),
-                    "conditionHolds": case.condition_holds,
-                    "sepHolds": case.sep_holds,
-                })
+        good, bad = _TALLY_KEYS[entry.gated]
+        t = tallies[entry.id]
+        t["checked"] += 1
+        if case.verdict is Verdict.CONSISTENT:
+            t[good] += 1
         else:
-            t = info_tallies[entry.id]
-            t["checked"] += 1
-            if case.condition_holds == case.sep_holds:
-                t["agreeing"] += 1
-            else:
-                t["mismatches"].append({
-                    "element": _serialize_matrix(case.element),
-                    "conditionHolds": case.condition_holds,
-                    "sepHolds": case.sep_holds,
-                })
+            t[bad].append({
+                "element": case.element.to_tokens(),
+                "conditionHolds": case.condition_holds,
+                "sepHolds": case.sep_holds,
+            })
 
-    # pass 2: bundles, theorem entries, and the L2.8 implication
-    for m in (generate(spec) if exhaustive else stream):
+    for m in stream:
         bundle = InverseBundle.compute(m)
-        totals["generated"] += 1
         if bundle.has_mp:
             totals["mpInvertible"] += 1
         if bundle.has_group:
             totals["groupInvertible"] += 1
-        both = bundle.has_mp and bundle.has_group
-        if both:
+        if bundle.has_mp and bundle.has_group:
             totals["bothInvertible"] += 1
             if is_sep(bundle):
                 totals["sep"] += 1
             for entry in sep_entries:
-                record(entry, bundle)
-            for entry in info_entries:
                 record(entry, bundle)
         if bundle.has_mp:
             for entry in pi_entries:
@@ -407,44 +413,26 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
                 if verdict is Verdict.VACUOUS:
                     sandwich["vacuous"] += 1
                 elif verdict is Verdict.COUNTEREXAMPLE:
-                    sandwich["violations"].append({
-                        "a": _serialize_matrix(m), "x": _serialize_matrix(x)})
+                    sandwich["violations"].append(
+                        {"a": m.to_tokens(), "x": x.to_tokens()})
 
-    # pass 3: L3.1 duality over ordered element pairs
-    duality = {"checked": 0, "violations": []}
-    total = totals["generated"]
-    if exhaustive:
-        for idx in _pair_indices(total):
-            ia, ib = divmod(idx, total)
-            e = _exhaustive_element(spec.field, spec.dim, ia)
-            a = _exhaustive_element(spec.field, spec.dim, ib)
-            duality["checked"] += 1
-            if check_left_right_duality(e, a) is Verdict.COUNTEREXAMPLE:
-                duality["violations"].append(
-                    {"e": _serialize_matrix(e), "a": _serialize_matrix(a)})
-    else:
-        pair_rng = random.Random((spec.seed or 0) * 2654435761 + 97)
-        for _ in range(min(PAIR_BUDGET, total * total)):
-            e = stream[pair_rng.randrange(total)]
-            a = stream[pair_rng.randrange(total)]
-            duality["checked"] += 1
-            if check_left_right_duality(e, a) is Verdict.COUNTEREXAMPLE:
-                duality["violations"].append(
-                    {"e": _serialize_matrix(e), "a": _serialize_matrix(a)})
+    for i, j in _l31_pairs(spec, len(stream)):
+        e, a = stream[i], stream[j]
+        duality["checked"] += 1
+        if check_left_right_duality(e, a) is Verdict.COUNTEREXAMPLE:
+            duality["violations"].append({"e": e.to_tokens(), "a": a.to_tokens()})
 
-    for t in tallies.values():
-        t["counterexamples"].sort(key=_sort_key)
-    for t in info_tallies.values():
-        t["mismatches"].sort(key=_sort_key)
-    sandwich["violations"].sort(key=_sort_key)
-    duality["violations"].sort(key=_sort_key)
+    for entry in entries:
+        tallies[entry.id][_TALLY_KEYS[entry.gated][1]].sort(key=_sort_key)
+    for lemma in (sandwich, duality):
+        lemma["violations"].sort(key=_sort_key)
 
     return VerificationReport(
         spec=spec,
         entry_ids=[e.id for e in entries],
         totals=totals,
-        per_theorem=tallies,
-        informational=info_tallies,
+        per_theorem={e.id: tallies[e.id] for e in entries if e.gated},
+        informational={e.id: tallies[e.id] for e in entries if not e.gated},
         lemmas={"L3.1": duality, "L2.8": sandwich},
         wall_time=round(time.perf_counter() - t0, 6),
     )

@@ -218,6 +218,12 @@ class FieldDescriptor:
             raise ScalarParseError(token)
         except ZeroDivisionError:
             raise ScalarParseError(f"zero denominator in {token!r}") from None
+        except ScalarParseError:
+            raise
+        except ValueError as exc:
+            # int() and Fraction() refuse tokens past the interpreter's
+            # integer-string digit limit
+            raise ScalarParseError(f"token of {len(token)} characters: {exc}") from None
 
 
 class Scalar:

@@ -21,7 +21,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .classify import is_pi, is_projection, is_sep
+from .classify import (
+    are_left_equivalent_for,
+    is_left_idempotent_for,
+    is_pi,
+    is_projection,
+    is_right_idempotent_for,
+    is_sep,
+)
 from .geninv import InverseBundle, derived_elements, mp_inverse
 from .matrix import Matrix
 
@@ -168,23 +175,19 @@ def _c2_9(b):
 
 
 def _t3_2(b):
-    w = _skew(b)
-    return w * w == _straight(b) * w
+    return is_left_idempotent_for(_skew(b), _straight(b))
 
 
 def _t3_3b(b):
-    w = _skew(b)
-    return w * w == w * _straight(b)
+    return is_right_idempotent_for(_skew(b), _straight(b))
 
 
 def _t3_3c(b):
-    u = _straight(b)
-    return u * u == _skew(b) * u
+    return is_left_idempotent_for(_straight(b), _skew(b))
 
 
 def _t3_3d(b):
-    u = _straight(b)
-    return u * u == u * _skew(b)
+    return is_right_idempotent_for(_straight(b), _skew(b))
 
 
 def _diff(b):
@@ -192,33 +195,27 @@ def _diff(b):
 
 
 def _t3_4b(b):
-    d = _diff(b)
-    return d * d == d * (-_straight(b))
+    return is_right_idempotent_for(_diff(b), -_straight(b))
 
 
 def _t3_4c(b):
-    d = _diff(b)
-    return d * d == (-_straight(b)) * d
+    return is_left_idempotent_for(_diff(b), -_straight(b))
 
 
 def _t3_4d(b):
-    d = -_diff(b)
-    return d * d == d * (-_skew(b))
+    return is_right_idempotent_for(-_diff(b), -_skew(b))
 
 
 def _t3_4e(b):
-    d = -_diff(b)
-    return d * d == (-_skew(b)) * d
+    return is_left_idempotent_for(-_diff(b), -_skew(b))
 
 
 def _t3_5(b):
-    w = _skew(b)
-    return w * w == w * b.a
+    return is_right_idempotent_for(_skew(b), b.a)
 
 
 def _t3_6(b):
-    u = _straight(b)
-    return u * u == b.mp.star() * u
+    return is_left_idempotent_for(_straight(b), b.mp.star())
 
 
 def _t4_1(b):
@@ -231,30 +228,27 @@ def _t4_2(b):
 
 
 def _t4_3(b):
-    for k in (2, 3):
-        e = _pow(b, _skew(b), "skew", k)
-        if e * e != _pow(b, _straight(b), "straight", k) * e:
-            return False
-    return True
+    return all(is_left_idempotent_for(_pow(b, _skew(b), "skew", k),
+                                      _pow(b, _straight(b), "straight", k))
+               for k in (2, 3))
 
 
 def _t5_1(b):
-    return b.a * _skew(b) == b.a * _straight(b)
+    return are_left_equivalent_for(_skew(b), _straight(b), b.a)
 
 
 def _t5_2(b):
     w, u = _skew(b), _straight(b)
-    return any(x * w == x * u for x in derived_elements(b).values())
+    return any(are_left_equivalent_for(w, u, x) for x in derived_elements(b).values())
 
 
 def _t5_3(b):
     u = _straight(b)
-    return u * _skew(b) == u * u
+    return are_left_equivalent_for(_skew(b), u, u)
 
 
 def _t5_4(b):
-    t = b.mp * b.a * b.group
-    return t * _skew(b) == t * _straight(b)
+    return are_left_equivalent_for(_skew(b), _straight(b), b.mp * b.a * b.group)
 
 
 def _x1(b):
@@ -363,10 +357,8 @@ LEMMA_STATEMENTS = {
 
 def check_left_right_duality(e: Matrix, a: Matrix) -> Verdict:
     """L3.1: a universal ring identity relating the two one-sided notions."""
-    left = e * e == a * e
-    rest = a - e
-    right = rest * rest == rest * a
-    return Verdict.CONSISTENT if left == right else Verdict.COUNTEREXAMPLE
+    holds = is_left_idempotent_for(e, a) == is_right_idempotent_for(a - e, a)
+    return Verdict.CONSISTENT if holds else Verdict.COUNTEREXAMPLE
 
 
 def check_projection_sandwich(a, x: Matrix) -> Verdict:

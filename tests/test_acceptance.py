@@ -22,31 +22,19 @@ from starring.geninv import (
     verify_group,
     verify_penrose,
 )
-from starring.harness import GeneratorSpec, Mode, generate, sweep
+from starring.harness import BATTERY, Mode, generate, sweep
 from starring.matrix import Matrix
-from starring.starfield import GAUSSIAN, RATIONAL, prime_field, quad_ext_field
+from starring.starfield import RATIONAL
 from starring.theorems import Kind, Verdict, evaluate, registry, registry_map
 
-F2 = prime_field(2)
-F3 = prime_field(3)
-F4 = quad_ext_field(2)
-
-EXHAUSTIVE_SPECS = {
-    "M2(F2)": GeneratorSpec(Mode.EXHAUSTIVE, F2, 2),
-    "M2(F3)": GeneratorSpec(Mode.EXHAUSTIVE, F3, 2),
-    "M2(F4)": GeneratorSpec(Mode.EXHAUSTIVE, F4, 2),
-}
-EXPECTED_SIZES = {"M2(F2)": 16, "M2(F3)": 81, "M2(F4)": 256}
-
-RANDOM_SPECS = {
-    "M2(Q)": GeneratorSpec(Mode.RANDOM, RATIONAL, 2, sample_count=500, seed=101),
-    "M3(Q)": GeneratorSpec(Mode.RANDOM, RATIONAL, 3, sample_count=500, seed=102),
-    "M2(Qi)": GeneratorSpec(Mode.RANDOM, GAUSSIAN, 2, sample_count=500, seed=103),
-    "M3(Qi)": GeneratorSpec(Mode.RANDOM, GAUSSIAN, 3, sample_count=500, seed=104),
-}
-
-SEP_SPEC = GeneratorSpec(Mode.CONSTRUCTED_SEP, GAUSSIAN, 3, sample_count=50, seed=301)
-EP_SPEC = GeneratorSpec(Mode.CONSTRUCTED_EP, GAUSSIAN, 3, sample_count=50, seed=302)
+EXHAUSTIVE_SPECS = {name: spec for name, spec in BATTERY.items()
+                    if spec.mode is Mode.EXHAUSTIVE}
+EXPECTED_SIZES = {"exhaustive-f2-dim2": 16, "exhaustive-f3-dim2": 81,
+                  "exhaustive-f4-dim2": 256}
+RANDOM_SPECS = {name: spec for name, spec in BATTERY.items()
+                if spec.mode is Mode.RANDOM}
+SEP_SPEC = BATTERY["constructed-sep-qi-dim3"]
+EP_SPEC = BATTERY["constructed-ep-qi-dim3"]
 
 
 def _report(num, name, ok):

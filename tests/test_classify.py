@@ -1,9 +1,13 @@
 """Element classes and the one-sided idempotent/equivalence relations."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import starring
 from starring.classify import (
     are_left_equivalent_for,
     are_right_equivalent_for,
@@ -96,6 +100,27 @@ def test_classify_record():
     c = classify(InverseBundle.compute(SHIFT))
     assert not c.group_invertible and c.mp_invertible
     assert c.is_pi and not c.is_ep and not c.is_sep
+
+
+def test_classification_invariants_survive_optimize_flag():
+    # the invariants must hold under `python -O`, which strips asserts
+    code = """
+from starring.classify import Classification
+for kwargs in (dict(is_projection=False, is_ep=True, is_pi=True, is_sep=True,
+                    mp_invertible=False, group_invertible=True),
+               dict(is_projection=True, is_ep=True, is_pi=True, is_sep=False,
+                    mp_invertible=True, group_invertible=True)):
+    try:
+        Classification(**kwargs)
+    except ValueError:
+        continue
+    raise SystemExit(f"constructed {kwargs}")
+"""
+    src = os.path.dirname(os.path.dirname(starring.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_sep_iff_ep_and_pi():

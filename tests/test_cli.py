@@ -96,6 +96,22 @@ def test_invert_parse_failure_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("ring", ["q", "f5"])
+def test_invert_oversized_token_exit_2(capsys, ring):
+    # 4400 digits is past the interpreter's integer-string conversion limit
+    rc, out, err = run(capsys, "invert", "--matrix", "1" * 4400, "--ring", ring)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_invert_internal_error_exit_3(capsys):
+    # the inverse has entries with more digits than the interpreter prints
+    x = "1" * 3000
+    rc, out, err = run(capsys, "invert", "--matrix", f"{x} 1; 1 {x}", "--ring", "q")
+    assert rc == 3 and out == ""
+    assert err.splitlines()[-1].startswith("error: internal error: ValueError")
+
+
 # -- classify ----------------------------------------------------------------------
 
 def test_classify_projection(capsys):

@@ -1,9 +1,11 @@
 """Generation, sweep orchestration, reports, and determinism."""
 
+import hashlib
 import json
 
 import pytest
 
+import starring.harness as harness_mod
 from starring.classify import classify
 from starring.geninv import InverseBundle, verify_group, verify_penrose
 from starring.harness import (
@@ -197,3 +199,35 @@ def test_report_json_embeds_scalar_grammar():
     doc = sweep(spec, ["T2.1"]).to_dict()
     assert doc["totals"]["generated"] == 16
     assert doc["perTheorem"]["T2.1"]["counterexamples"] == []
+
+
+# sha256 of to_json() without its wallTime line, recorded before the sweep
+# became a single walk over its stream; the report bytes must not move
+PINNED_REPORTS = [
+    (GeneratorSpec(Mode.EXHAUSTIVE, F2, 2),
+     "d78d4dff88869ffc40e105e4f9037cdcb62daf475c106d20337e157d387c6e56"),
+    (GeneratorSpec(Mode.EXHAUSTIVE, F3, 2),
+     "8e83bd521900293b5da6c38bc6fb20623ee7264dfe7814ff7ff367c3b4eee4ca"),
+    (GeneratorSpec(Mode.RANDOM, RATIONAL, 2, sample_count=50, seed=7),
+     "988d3969c23410cee6f20fada23a37bb683dd88e98ef685e0142ce21fa11558c"),
+    (GeneratorSpec(Mode.CONSTRUCTED_PI, GAUSSIAN, 3, sample_count=10, seed=303),
+     "458bdb11226616542101837e8658856c7a6a6349d5800d85e29b5a526fabf3c9"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", PINNED_REPORTS,
+                         ids=["exhaustive-f2", "exhaustive-f3", "random-q",
+                              "constructed-pi-qi"])
+def test_report_bytes_pinned(spec, digest, monkeypatch):
+    calls = []
+
+    def counted_generate(s):
+        calls.append(s)
+        return generate(s)
+
+    monkeypatch.setattr(harness_mod, "generate", counted_generate)
+    text = sweep(spec, "all").to_json()
+    kept = "\n".join(ln for ln in text.splitlines()
+                     if not ln.startswith('  "wallTime": '))
+    assert hashlib.sha256(kept.encode()).hexdigest() == digest
+    assert calls == [spec]  # the stream is walked once
