@@ -4,11 +4,14 @@
 Runs the sweeps of `starring.harness.BATTERY`: the three exhaustive finite
 rings, four randomized rational/Gaussian streams, and the constructed SEP /
 EP-only / shift-pattern streams.  Reports land in ./reports/ (or the
-directory given with --out-dir).  Exits nonzero if any sweep finds a
-counterexample, which a correct build never does.
+directory given with --out-dir).  Each summary row ends with the sha256 of
+its report without the `wallTime` line, so two builds produce the same
+reports exactly when this script prints the same digests.  Exits nonzero if
+any sweep finds a counterexample, which a correct build never does.
 """
 
 import argparse
+import hashlib
 import pathlib
 import sys
 import time
@@ -35,13 +38,17 @@ def main():
     for name, spec in BATTERY.items():
         report = sweep(spec, entry_ids)
         path = out_dir / f"{name}.json"
-        path.write_text(report.to_json() + "\n", encoding="utf-8")
+        text = report.to_json()
+        path.write_text(text + "\n", encoding="utf-8")
+        kept = "\n".join(ln for ln in text.splitlines()
+                         if not ln.startswith('  "wallTime": '))
+        digest = hashlib.sha256(kept.encode()).hexdigest()
         n = report.counterexample_count()
         bad += n
         t = report.totals
         print(f"{name:<26} elements {t['generated']:>5} "
               f"both {t['bothInvertible']:>5} sep {t['sep']:>4} "
-              f"counterexamples {n}  -> {path}")
+              f"counterexamples {n}  sha256 {digest}  -> {path}")
     print(f"\ntotal wall time {time.perf_counter() - t0:.1f}s; "
           f"{'all sweeps clean' if bad == 0 else f'{bad} COUNTEREXAMPLES'}")
     return 0 if bad == 0 else 1

@@ -30,32 +30,12 @@ from .harness import (
     sweep,
 )
 from .matrix import Matrix, MatrixParseError, parse_inline, parse_matrix
-from .starfield import (
-    FieldDescriptor,
-    FieldKind,
-    ScalarParseError,
-    is_prime,
-)
+from .starfield import RingParseError, ScalarParseError, parse_ring
 from .theorems import LEMMA_STATEMENTS, registry
 
 
 class UsageError(ValueError):
     pass
-
-
-def parse_ring(token: str) -> FieldDescriptor:
-    """Ring flags: q, qi, f<p>, f<p>2 (e.g. f3 is F_3 and f32 is F_9)."""
-    if token == "q":
-        return FieldDescriptor.get(FieldKind.RATIONAL)
-    if token == "qi":
-        return FieldDescriptor.get(FieldKind.GAUSSIAN_RATIONAL)
-    if token.startswith("f") and token[1:].isdigit():
-        digits = token[1:]
-        if is_prime(int(digits)):
-            return FieldDescriptor.get(FieldKind.PRIME, int(digits))
-        if digits.endswith("2") and digits[:-1] and is_prime(int(digits[:-1])):
-            return FieldDescriptor.get(FieldKind.QUAD_EXT, int(digits[:-1]))
-    raise UsageError(f"unknown ring {token!r} (expected q, qi, f<p> or f<p>2)")
 
 
 def _read_matrix(args) -> Matrix:
@@ -294,7 +274,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, MatrixParseError, ScalarParseError,
+    except (UsageError, MatrixParseError, ScalarParseError, RingParseError,
             InvalidSpecError, UnknownEntryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

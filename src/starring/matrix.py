@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .starfield import FieldDescriptor, FieldKind, FieldMismatchError, Scalar
+from .starfield import FieldDescriptor, FieldMismatchError, Scalar, parse_ring_header
 
 # Exhaustive finite-ring runs and exact rational growth stay at desk scale.
 MAX_DIMENSION = 6
@@ -166,32 +166,10 @@ class Matrix:
     # -- elimination ------------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
-        """Reduced row echelon form by exact Gauss-Jordan.
-
-        Pivot choice is the first nonzero entry in column order; with exact
-        arithmetic there is nothing to gain from magnitude pivoting.  Returns
-        (reduced matrix, rank, pivot columns).
-        """
+        """Reduced row echelon form, rank and pivot columns, by exact Gauss-Jordan."""
         rows = [list(r) for r in self.rows]
-        nr, nc = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for c in range(nc):
-            pr = next((i for i in range(r, nr) if not rows[i][c].is_zero()), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            inv = rows[r][c].inv()
-            rows[r] = [inv * e for e in rows[r]]
-            for i in range(nr):
-                if i != r and not rows[i][c].is_zero():
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == nr:
-                break
-        return Matrix(self.field, rows), r, tuple(pivots)
+        pivots = _gauss_jordan(rows, self.ncols)
+        return Matrix(self.field, rows), len(pivots), tuple(pivots)
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -213,25 +191,12 @@ class Matrix:
     def try_invert(self) -> "Matrix | None":
         """Two-sided inverse of a square matrix, or None when rank < n."""
         n = self.n
-        zero, one = self.field.zero(), self.field.one()
-        # Gauss-Jordan on A while mirroring the row operations onto I.
-        rows = [list(self.rows[i]) for i in range(n)]
-        inv_rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        for c in range(n):
-            pr = next((i for i in range(c, n) if not rows[i][c].is_zero()), None)
-            if pr is None:
-                return None
-            rows[c], rows[pr] = rows[pr], rows[c]
-            inv_rows[c], inv_rows[pr] = inv_rows[pr], inv_rows[c]
-            s = rows[c][c].inv()
-            rows[c] = [s * e for e in rows[c]]
-            inv_rows[c] = [s * e for e in inv_rows[c]]
-            for i in range(n):
-                if i != c and not rows[i][c].is_zero():
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-                    inv_rows[i] = [a - f * b for a, b in zip(inv_rows[i], inv_rows[c])]
-        return Matrix(self.field, inv_rows)
+        eye = Matrix.identity(self.field, n).rows
+        # Gauss-Jordan on [A | I]: the right half ends as the inverse.
+        rows = [list(r) + list(e) for r, e in zip(self.rows, eye)]
+        if len(_gauss_jordan(rows, n)) < n:
+            return None
+        return Matrix(self.field, [r[n:] for r in rows])
 
     # -- text format -----------------------------------------------------------
 
@@ -251,6 +216,33 @@ class Matrix:
         return [[e.token() for e in row] for row in self.rows]
 
 
+def _gauss_jordan(rows: list[list[Scalar]], ncols: int) -> list[int]:
+    """Reduce the rows in place by exact Gauss-Jordan on their first ncols
+    columns and return the pivot columns.
+
+    Pivot choice is the first nonzero entry in column order; with exact
+    arithmetic there is nothing to gain from magnitude pivoting.  Row
+    operations span whole rows, so columns past ncols are carried along.
+    """
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c].inv()
+        rows[r] = [inv * e for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return pivots
+
+
 @dataclass(frozen=True)
 class RankFactorization:
     """A = F G exactly, with rank(F) = rank(G) = r = rank(A)."""
@@ -266,31 +258,15 @@ def parse_matrix(text: str) -> Matrix:
     if not lines:
         raise MatrixParseError("empty input")
     head = lines[0].split()
-    if not head or head[0] != "ring":
-        raise MatrixParseError(f"expected 'ring ...' header, got {lines[0]!r}")
+    if len(head) < 3 or head[0] != "ring" or not head[-1].startswith("n="):
+        raise MatrixParseError(f"expected 'ring <kind> [<p>] n=<dim>', got {lines[0]!r}")
     try:
-        kind = FieldKind(head[1])
-    except (ValueError, IndexError):
-        raise MatrixParseError(f"unknown ring kind in {lines[0]!r}") from None
-    rest = head[2:]
-    p = None
-    if kind in (FieldKind.PRIME, FieldKind.QUAD_EXT):
-        if len(rest) != 2 or not rest[0].isdigit():
-            raise MatrixParseError(f"expected 'ring {kind.value} <p> n=<dim>'")
-        p = int(rest[0])
-        rest = rest[1:]
-    if len(rest) != 1 or not rest[0].startswith("n="):
-        raise MatrixParseError(f"missing n=<dim> in {lines[0]!r}")
-    try:
-        n = int(rest[0][2:])
-    except ValueError:
-        raise MatrixParseError(f"bad dimension in {lines[0]!r}") from None
+        field = parse_ring_header(head[1:-1])
+        n = int(head[-1][2:])
+    except ValueError as exc:
+        raise MatrixParseError(f"bad header: {exc}") from None
     if not 1 <= n <= MAX_DIMENSION:
         raise MatrixParseError(f"dimension {n} outside 1..{MAX_DIMENSION}")
-    try:
-        field = FieldDescriptor.get(kind, p)
-    except ValueError as exc:
-        raise MatrixParseError(str(exc)) from None
     body = lines[1:]
     if len(body) != n:
         raise MatrixParseError(f"expected {n} rows, got {len(body)}")

@@ -5,6 +5,13 @@ prime fields F_p, and quadratic extensions F_{p^2}.  The star map is the
 identity on the rationals and on F_p, complex conjugation on the Gaussian
 rationals, and the Frobenius map s -> s^p on F_{p^2}.
 
+Each family is one subclass of `FieldDescriptor` holding all the rules for
+its raw values: `add`, `neg`, `mul`, `inv`, `star`, `is_zero`, `token`,
+`parse_value`, `from_int`, `element_at`, `name` and `size`.  A `Scalar` is a
+descriptor and a raw value; each operator is a field check plus one call
+into the descriptor.  Ring flags (`f32`) and matrix-file ring headers
+(`fp2 3`) are parsed here too.
+
 All arithmetic is exact and every value is kept in a canonical form, so
 scalar equality is plain structural equality.  There are no tolerances
 anywhere in this package.
@@ -12,6 +19,7 @@ anywhere in this package.
 
 from __future__ import annotations
 
+import operator
 import re
 from enum import Enum
 from fractions import Fraction
@@ -25,6 +33,10 @@ class ScalarParseError(ValueError):
     """A token does not match the scalar grammar of its field."""
 
 
+class RingParseError(ValueError):
+    """A ring flag or matrix-file ring header names no supported field."""
+
+
 class FieldKind(Enum):
     RATIONAL = "q"
     GAUSSIAN_RATIONAL = "qi"
@@ -32,29 +44,40 @@ class FieldKind(Enum):
     QUAD_EXT = "fp2"
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015).
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; ValueError from PRIME_TEST_LIMIT on."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"{n} is beyond the primality test's bound {PRIME_TEST_LIMIT}")
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        # n is a strong probable prime to base a: a^d = 1 or a^(d 2^j) = -1
+        powers = [pow(a, d << j, n) for j in range(s)]
+        if powers[0] != 1 and n - 1 not in powers:
             return False
-        d += 2
     return True
 
 
 def _smallest_irreducible_quadratic(p: int) -> tuple[int, int]:
     # Monic x^2 + b*x + c, first (b, c) in lexicographic order with no root
-    # in F_p.  Fixing this choice makes serialization reproducible.
-    for b in range(p):
-        for c in range(p):
-            if all((x * x + b * x + c) % p for x in range(p)):
-                return b, c
-    raise ValueError(f"no irreducible quadratic over F_{p}")  # unreachable for prime p
+    # in F_p.  Fixing this choice makes serialization reproducible.  For odd
+    # p it is irreducible exactly when b^2 - 4c is a non-residue (Euler's
+    # criterion), and b = 0 already has such a c, since -4c runs over F_p.
+    if p == 2:
+        return 1, 1
+    c = 1
+    while pow(-4 * c % p, (p - 1) // 2, p) != p - 1:
+        c += 1
+    return 0, c
 
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
@@ -68,27 +91,26 @@ _INT_RE = re.compile(r"[+-]?\d+\Z")
 class FieldDescriptor:
     """One of the four supported involutive fields.
 
-    Instances are interned: ``FieldDescriptor.get(kind, p)`` returns the same
-    object for the same arguments, so scalar operations can compare fields by
+    ``FieldDescriptor(kind, p)`` builds the subclass for ``kind``.  Instances
+    are interned: ``FieldDescriptor.get(kind, p)`` returns the same object
+    for the same arguments, so scalar operations can compare fields by
     identity.
     """
 
-    __slots__ = ("kind", "p", "ext_b", "ext_c")
+    kind: FieldKind
+    modular = False  # True where the field takes a prime modulus p
+    p = ext_b = ext_c = None
 
     _cache: dict[tuple[FieldKind, int | None], "FieldDescriptor"] = {}
 
+    def __new__(cls, kind: FieldKind, p: int | None = None):
+        return super().__new__(_FIELD_CLASSES[kind])
+
     def __init__(self, kind: FieldKind, p: int | None = None):
-        if kind in (FieldKind.PRIME, FieldKind.QUAD_EXT):
-            if p is None or not is_prime(p):
-                raise ValueError(f"{kind.value} needs a prime modulus, got {p!r}")
-        elif p is not None:
-            raise ValueError(f"{kind.value} takes no modulus")
-        self.kind = kind
+        if (p is None) == self.modular or (self.modular and not is_prime(p)):
+            raise ValueError(f"{kind.value} takes {'a prime' if self.modular else 'no'} "
+                             f"modulus, got {p!r}")
         self.p = p
-        if kind is FieldKind.QUAD_EXT:
-            self.ext_b, self.ext_c = _smallest_irreducible_quadratic(p)
-        else:
-            self.ext_b = self.ext_c = None
 
     @classmethod
     def get(cls, kind: FieldKind, p: int | None = None) -> "FieldDescriptor":
@@ -108,30 +130,17 @@ class FieldDescriptor:
     def __hash__(self):
         return hash((self.kind, self.p))
 
+    def __reduce__(self):  # copies and unpickled fields stay interned
+        return FieldDescriptor.get, (self.kind, self.p)
+
     def __repr__(self):
         if self.p is None:
             return f"FieldDescriptor({self.kind.name})"
         return f"FieldDescriptor({self.kind.name}, p={self.p})"
 
-    @property
-    def name(self) -> str:
-        return {
-            FieldKind.RATIONAL: "Q",
-            FieldKind.GAUSSIAN_RATIONAL: "Q(i)",
-            FieldKind.PRIME: f"F_{self.p}",
-            FieldKind.QUAD_EXT: f"F_{self.p}^2" if self.p else "F_p^2",
-        }[self.kind]
-
     def size(self) -> int | None:
         """Number of elements, or None for the infinite fields."""
-        if self.kind is FieldKind.PRIME:
-            return self.p
-        if self.kind is FieldKind.QUAD_EXT:
-            return self.p * self.p
         return None
-
-    def is_finite(self) -> bool:
-        return self.size() is not None
 
     # -- element construction ------------------------------------------------
 
@@ -141,42 +150,14 @@ class FieldDescriptor:
     def one(self) -> "Scalar":
         return self.from_int(1)
 
-    def from_int(self, k: int) -> "Scalar":
-        if self.kind is FieldKind.RATIONAL:
-            return Scalar(self, Fraction(k))
-        if self.kind is FieldKind.GAUSSIAN_RATIONAL:
-            return Scalar(self, (Fraction(k), Fraction(0)))
-        if self.kind is FieldKind.PRIME:
-            return Scalar(self, k % self.p)
-        return Scalar(self, (k % self.p, 0))
+    def _not_meaningful(self, *args):
+        raise ValueError(f"not meaningful over {self.name}")
 
-    def rational(self, num: int, den: int = 1) -> "Scalar":
-        if self.kind is FieldKind.RATIONAL:
-            return Scalar(self, Fraction(num, den))
-        if self.kind is FieldKind.GAUSSIAN_RATIONAL:
-            return Scalar(self, (Fraction(num, den), Fraction(0)))
-        raise ValueError(f"rational() not meaningful over {self.name}")
-
-    def gaussian(self, re_num, im_num, re_den: int = 1, im_den: int = 1) -> "Scalar":
-        if self.kind is not FieldKind.GAUSSIAN_RATIONAL:
-            raise ValueError(f"gaussian() not meaningful over {self.name}")
-        return Scalar(self, (Fraction(re_num, re_den), Fraction(im_num, im_den)))
-
-    def residue_pair(self, x: int, y: int) -> "Scalar":
-        if self.kind is not FieldKind.QUAD_EXT:
-            raise ValueError(f"residue_pair() not meaningful over {self.name}")
-        return Scalar(self, (x % self.p, y % self.p))
+    rational = gaussian = residue_pair = _not_meaningful
 
     def element_at(self, index: int) -> "Scalar":
         """The index-th element in the fixed enumeration of a finite field."""
-        size = self.size()
-        if size is None:
-            raise ValueError(f"{self.name} is not enumerable")
-        if not 0 <= index < size:
-            raise IndexError(index)
-        if self.kind is FieldKind.PRIME:
-            return Scalar(self, index)
-        return Scalar(self, divmod(index, self.p))
+        raise ValueError(f"{self.name} is not enumerable")
 
     def elements(self):
         """All elements of a finite field, in the fixed enumeration order."""
@@ -189,33 +170,7 @@ class FieldDescriptor:
         """Parse one scalar token; inverse of Scalar.token()."""
         token = token.strip()
         try:
-            if self.kind is FieldKind.RATIONAL:
-                if not _RATIONAL_RE.fullmatch(token):
-                    raise ScalarParseError(token)
-                return Scalar(self, Fraction(token))
-            if self.kind is FieldKind.GAUSSIAN_RATIONAL:
-                m = _GAUSSIAN_RE.fullmatch(token)
-                if m:
-                    return Scalar(self, (Fraction(m.group(1)), Fraction(m.group(2))))
-                m = _GAUSSIAN_IMAG_RE.fullmatch(token)
-                if m:
-                    return Scalar(self, (Fraction(0), Fraction(m.group(1))))
-                if _RATIONAL_RE.fullmatch(token):
-                    return Scalar(self, (Fraction(token), Fraction(0)))
-                raise ScalarParseError(token)
-            if self.kind is FieldKind.PRIME:
-                if not _INT_RE.fullmatch(token):
-                    raise ScalarParseError(token)
-                return Scalar(self, int(token) % self.p)
-            m = _QUADEXT_RE.fullmatch(token)
-            if m:
-                return Scalar(self, (int(m.group(1)) % self.p, int(m.group(2)) % self.p))
-            m = _QUADEXT_OMEGA_RE.fullmatch(token)
-            if m:
-                return Scalar(self, (0, int(m.group(1)) % self.p))
-            if token.isdigit():
-                return Scalar(self, (int(token) % self.p, 0))
-            raise ScalarParseError(token)
+            return Scalar(self, self.parse_value(token))
         except ZeroDivisionError:
             raise ScalarParseError(f"zero denominator in {token!r}") from None
         except ScalarParseError:
@@ -224,6 +179,201 @@ class FieldDescriptor:
             # int() and Fraction() refuse tokens past the interpreter's
             # integer-string digit limit
             raise ScalarParseError(f"token of {len(token)} characters: {exc}") from None
+
+
+class RationalField(FieldDescriptor):
+    """Q with the identity involution; raw values are Fractions."""
+
+    kind = FieldKind.RATIONAL
+    name = "Q"
+    # Builtins do not bind as methods: f.add(x, y) is operator.add(x, y).
+    add, neg, mul, is_zero, token = operator.add, operator.neg, operator.mul, operator.not_, str
+
+    def inv(self, x):
+        return 1 / x
+
+    def star(self, x):
+        return x
+
+    def parse_value(self, token):
+        if not _RATIONAL_RE.fullmatch(token):
+            raise ScalarParseError(token)
+        return Fraction(token)
+
+    def from_int(self, k):
+        return Scalar(self, Fraction(k))
+
+    def rational(self, num, den=1):
+        return Scalar(self, Fraction(num, den))
+
+
+class GaussianField(FieldDescriptor):
+    """Q(i) with complex conjugation; raw values are (re, im) Fraction pairs."""
+
+    kind = FieldKind.GAUSSIAN_RATIONAL
+    name = "Q(i)"
+
+    def add(self, x, y):
+        return (x[0] + y[0], x[1] + y[1])
+
+    def neg(self, x):
+        return (-x[0], -x[1])
+
+    def mul(self, x, y):
+        (a, b), (c, d) = x, y
+        return (a * c - b * d, a * d + b * c)
+
+    def inv(self, x):
+        a, b = x
+        n = a * a + b * b
+        return (a / n, -b / n)
+
+    def star(self, x):
+        return (x[0], -x[1])
+
+    def is_zero(self, x):
+        return not x[0] and not x[1]
+
+    def token(self, x):
+        return f"{x[0]}{'-' if x[1] < 0 else '+'}{abs(x[1])}i"
+
+    def parse_value(self, token):
+        m = _GAUSSIAN_RE.fullmatch(token)
+        if m:
+            return (Fraction(m.group(1)), Fraction(m.group(2)))
+        m = _GAUSSIAN_IMAG_RE.fullmatch(token)
+        if m:
+            return (Fraction(0), Fraction(m.group(1)))
+        if _RATIONAL_RE.fullmatch(token):
+            return (Fraction(token), Fraction(0))
+        raise ScalarParseError(token)
+
+    def from_int(self, k):
+        return Scalar(self, (Fraction(k), Fraction(0)))
+
+    def rational(self, num, den=1):
+        return Scalar(self, (Fraction(num, den), Fraction(0)))
+
+    def gaussian(self, re_num, im_num, re_den=1, im_den=1):
+        return Scalar(self, (Fraction(re_num, re_den), Fraction(im_num, im_den)))
+
+
+class PrimeField(FieldDescriptor):
+    """F_p with the identity involution; raw values are ints in [0, p)."""
+
+    kind = FieldKind.PRIME
+    modular = True
+    is_zero, token = operator.not_, str  # builtins, as on Q
+
+    @property
+    def name(self):
+        return f"F_{self.p}"
+
+    def size(self):
+        return self.p
+
+    def add(self, x, y):
+        return (x + y) % self.p
+
+    def neg(self, x):
+        return -x % self.p
+
+    def mul(self, x, y):
+        return x * y % self.p
+
+    def inv(self, x):
+        return pow(x, self.p - 2, self.p)
+
+    def star(self, x):
+        return x
+
+    def parse_value(self, token):
+        if not _INT_RE.fullmatch(token):
+            raise ScalarParseError(token)
+        return int(token) % self.p
+
+    def from_int(self, k):
+        return Scalar(self, k % self.p)
+
+    def element_at(self, index):
+        if not 0 <= index < self.p:
+            raise IndexError(index)
+        return Scalar(self, index)
+
+
+class QuadExtField(FieldDescriptor):
+    """F_p[w]/(w^2 + ext_b*w + ext_c) with Frobenius; raw (a, b) is a + b*w."""
+
+    kind = FieldKind.QUAD_EXT
+    modular = True
+
+    def __init__(self, kind: FieldKind, p: int | None = None):
+        super().__init__(kind, p)
+        self.ext_b, self.ext_c = _smallest_irreducible_quadratic(p)
+
+    @property
+    def name(self):
+        return f"F_{self.p}^2"
+
+    def size(self):
+        return self.p * self.p
+
+    def add(self, x, y):
+        return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)
+
+    def neg(self, x):
+        return (-x[0] % self.p, -x[1] % self.p)
+
+    def mul(self, x, y):
+        # (a + b*w)(c + d*w) with w^2 = -ext_b*w - ext_c
+        (a, b), (c, d) = x, y
+        p, bd = self.p, b * d
+        return ((a * c - self.ext_c * bd) % p, (a * d + b * c - self.ext_b * bd) % p)
+
+    def inv(self, x):
+        # Norm s * star(s) = a^2 - ext_b*a*b + ext_c*b^2 lies in the prime
+        # subfield and is nonzero, so invert there.
+        a, b = x
+        p = self.p
+        n_inv = pow((a * a - self.ext_b * a * b + self.ext_c * b * b) % p, p - 2, p)
+        return ((a - self.ext_b * b) * n_inv % p, -b * n_inv % p)
+
+    def star(self, x):
+        # Frobenius: w^p is the other root of x^2 + b*x + c, namely -ext_b - w.
+        a, b = x
+        return ((a - self.ext_b * b) % self.p, -b % self.p)
+
+    def is_zero(self, x):
+        return not x[0] and not x[1]
+
+    def token(self, x):
+        return f"{x[0]}+{x[1]}w"
+
+    def parse_value(self, token):
+        p = self.p
+        m = _QUADEXT_RE.fullmatch(token)
+        if m:
+            return (int(m.group(1)) % p, int(m.group(2)) % p)
+        m = _QUADEXT_OMEGA_RE.fullmatch(token)
+        if m:
+            return (0, int(m.group(1)) % p)
+        if token.isdigit():
+            return (int(token) % p, 0)
+        raise ScalarParseError(token)
+
+    def from_int(self, k):
+        return Scalar(self, (k % self.p, 0))
+
+    def residue_pair(self, x, y):
+        return Scalar(self, (x % self.p, y % self.p))
+
+    def element_at(self, index):
+        if not 0 <= index < self.p * self.p:
+            raise IndexError(index)
+        return Scalar(self, divmod(index, self.p))
+
+
+_FIELD_CLASSES = {c.kind: c for c in (RationalField, GaussianField, PrimeField, QuadExtField)}
 
 
 class Scalar:
@@ -256,13 +406,7 @@ class Scalar:
         return f"<{self.token()} over {self.field.name}>"
 
     def is_zero(self) -> bool:
-        k = self.field.kind
-        if k is FieldKind.RATIONAL or k is FieldKind.PRIME:
-            return not self.value
-        return not self.value[0] and not self.value[1]
-
-    def is_one(self) -> bool:
-        return self == self.field.one()
+        return self.field.is_zero(self.value)
 
     def _check(self, other: "Scalar"):
         if self.field is not other.field:
@@ -272,100 +416,35 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        k = self.field.kind
-        if k is FieldKind.RATIONAL:
-            return Scalar(self.field, self.value + other.value)
-        if k is FieldKind.PRIME:
-            return Scalar(self.field, (self.value + other.value) % self.field.p)
-        a, b = self.value
-        c, d = other.value
-        if k is FieldKind.GAUSSIAN_RATIONAL:
-            return Scalar(self.field, (a + c, b + d))
-        p = self.field.p
-        return Scalar(self.field, ((a + c) % p, (b + d) % p))
+        return Scalar(self.field, self.field.add(self.value, other.value))
 
     def __neg__(self) -> "Scalar":
-        k = self.field.kind
-        if k is FieldKind.RATIONAL:
-            return Scalar(self.field, -self.value)
-        if k is FieldKind.PRIME:
-            return Scalar(self.field, (-self.value) % self.field.p)
-        a, b = self.value
-        if k is FieldKind.GAUSSIAN_RATIONAL:
-            return Scalar(self.field, (-a, -b))
-        p = self.field.p
-        return Scalar(self.field, ((-a) % p, (-b) % p))
+        return Scalar(self.field, self.field.neg(self.value))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + (-other)
+        self._check(other)
+        f = self.field
+        return Scalar(f, f.add(self.value, f.neg(other.value)))
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        k = self.field.kind
-        if k is FieldKind.RATIONAL:
-            return Scalar(self.field, self.value * other.value)
-        if k is FieldKind.PRIME:
-            return Scalar(self.field, (self.value * other.value) % self.field.p)
-        a, b = self.value
-        c, d = other.value
-        if k is FieldKind.GAUSSIAN_RATIONAL:
-            return Scalar(self.field, (a * c - b * d, a * d + b * c))
-        # (a + b*w)(c + d*w) with w^2 = -ext_b*w - ext_c
-        p = self.field.p
-        bd = b * d
-        return Scalar(
-            self.field,
-            ((a * c - self.field.ext_c * bd) % p,
-             (a * d + b * c - self.field.ext_b * bd) % p),
-        )
+        return Scalar(self.field, self.field.mul(self.value, other.value))
 
     def inv(self) -> "Scalar":
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
-        if self.is_zero():
+        if self.field.is_zero(self.value):
             raise ZeroDivisionError(f"inverse of zero in {self.field.name}")
-        k = self.field.kind
-        if k is FieldKind.RATIONAL:
-            return Scalar(self.field, 1 / self.value)
-        if k is FieldKind.PRIME:
-            return Scalar(self.field, pow(self.value, self.field.p - 2, self.field.p))
-        a, b = self.value
-        if k is FieldKind.GAUSSIAN_RATIONAL:
-            n = a * a + b * b
-            return Scalar(self.field, (a / n, -b / n))
-        # Norm s * star(s) = a^2 - ext_b*a*b + ext_c*b^2 lies in the prime
-        # subfield and is nonzero, so invert there.
-        p = self.field.p
-        n = (a * a - self.field.ext_b * a * b + self.field.ext_c * b * b) % p
-        n_inv = pow(n, p - 2, p)
-        return Scalar(self.field, (((a - self.field.ext_b * b) * n_inv) % p,
-                                   ((-b) * n_inv) % p))
+        return Scalar(self.field, self.field.inv(self.value))
 
     def star(self) -> "Scalar":
         """The involution: identity, conjugation, or Frobenius by field."""
-        k = self.field.kind
-        if k is FieldKind.RATIONAL or k is FieldKind.PRIME:
-            return self
-        a, b = self.value
-        if k is FieldKind.GAUSSIAN_RATIONAL:
-            return Scalar(self.field, (a, -b))
-        # Frobenius: w^p is the other root of x^2 + b*x + c, namely -ext_b - w.
-        p = self.field.p
-        return Scalar(self.field, ((a - self.field.ext_b * b) % p, (-b) % p))
+        return Scalar(self.field, self.field.star(self.value))
 
     # -- text grammar --------------------------------------------------------
 
     def token(self) -> str:
         """Canonical text form; FieldDescriptor.parse() round-trips it."""
-        k = self.field.kind
-        if k is FieldKind.RATIONAL:
-            return str(self.value)
-        if k is FieldKind.PRIME:
-            return str(self.value)
-        a, b = self.value
-        if k is FieldKind.GAUSSIAN_RATIONAL:
-            sign = "-" if b < 0 else "+"
-            return f"{a}{sign}{abs(b)}i"
-        return f"{a}+{b}w"
+        return self.field.token(self.value)
 
 
 RATIONAL = FieldDescriptor.get(FieldKind.RATIONAL)
@@ -378,3 +457,39 @@ def prime_field(p: int) -> FieldDescriptor:
 
 def quad_ext_field(p: int) -> FieldDescriptor:
     return FieldDescriptor.get(FieldKind.QUAD_EXT, p)
+
+
+# -- ring text -----------------------------------------------------------------
+
+def _prime(digits: str) -> int | None:
+    # The prime that `digits` spells in decimal, or None.  The length is
+    # checked before int(), so a huge string is refused without converting it.
+    if (not (digits.isascii() and digits.isdigit())
+            or len(digits) > len(str(PRIME_TEST_LIMIT))):
+        return None
+    p = int(digits)
+    return p if p < PRIME_TEST_LIMIT and is_prime(p) else None
+
+
+def parse_ring(token: str) -> FieldDescriptor:
+    """Ring flags: q, qi, f<p>, f<p>2 (e.g. f3 is F_3 and f32 is F_9)."""
+    if token in ("q", "qi"):
+        return FieldDescriptor.get(FieldKind(token))
+    if token.startswith("f"):
+        if (p := _prime(token[1:])) is not None:
+            return prime_field(p)
+        if token.endswith("2") and (p := _prime(token[1:-1])) is not None:
+            return quad_ext_field(p)
+    raise RingParseError(f"unknown ring {token!r} (expected q, qi, f<p> or f<p>2 "
+                         f"with p a prime below 3.3e24)")
+
+
+def parse_ring_header(words: list[str]) -> FieldDescriptor:
+    """The field of a matrix-file header 'ring <kind> [<p>] n=<dim>', from the
+    words between 'ring' and 'n=<dim>': q, qi, fp <p> or fp2 <p>."""
+    if words in (["q"], ["qi"]):
+        return FieldDescriptor.get(FieldKind(words[0]))
+    if len(words) == 2 and words[0] in ("fp", "fp2") and (p := _prime(words[1])) is not None:
+        return FieldDescriptor.get(FieldKind(words[0]), p)
+    raise RingParseError(f"unknown ring {' '.join(words)!r} (expected q, qi, fp <p> "
+                         f"or fp2 <p> with p a prime below 3.3e24)")

@@ -1,6 +1,8 @@
 """CLI behavior: parsing, output formats, exit codes, determinism."""
 
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -87,6 +89,20 @@ def test_invert_from_file_json(capsys, tmp_path):
     assert doc["mpInverse"] == [["1", "1"], ["0", "1"]]  # inverse of [[1,2],[0,1]] mod 3
 
 
+@pytest.mark.parametrize("ring,rows,digest", [
+    ("q", "2 1; 0 0", "d5f15afecddc0b3b537967a09f726edc6e8f7c4f1ec7fcea1904b2fd998b7cf1"),
+    ("qi", "1 1i; 0 0", "5ed67fcd59e138cffac6a964fc66336561bcc65ecccfcd600596fda5c160ae19"),
+    ("f5", "1 2; 0 0", "71754a3debedadba9197940bf56d8cf42fd41309f25fdfc702c7ddb98aefe00c"),
+    ("f32", "1 1w; 0 0", "5b555ac600a96eb9078320824b72f4f0047a9113bdd3f9b6d04fccdbcf972ad7"),
+])
+def test_invert_json_pinned(capsys, ring, rows, digest):
+    # sha256 of the whole stdout, recorded before the field arithmetic moved
+    # into one class per field
+    rc, out, _ = run(capsys, "invert", "--matrix", rows, "--ring", ring, "--format", "json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_invert_parse_failure_exit_2(capsys):
     rc, _, err = run(capsys, "invert", "--matrix", "1 x; 0 0", "--ring", "q")
     assert rc == 2 and "error" in err
@@ -102,6 +118,31 @@ def test_invert_oversized_token_exit_2(capsys, ring):
     rc, out, err = run(capsys, "invert", "--matrix", "1" * 4400, "--ring", ring)
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("via", ["flag", "header"])
+@pytest.mark.parametrize("digits,rc", [
+    (str(10 ** 18 + 3), 0),  # a prime
+    ("9" * 25, 2),  # as many digits as the primality test's bound, above it
+    ("1" * 30, 2),
+    ("1" * 4400, 2),  # past the interpreter's integer-string conversion limit
+], ids=["prime-1e18+3", "25-nines", "30-ones", "4400-ones"])
+def test_invert_huge_modulus(capsys, tmp_path, via, digits, rc):
+    if via == "flag":
+        argv = ["--matrix", "1", "--ring", f"f{digits}"]
+    else:
+        path = tmp_path / "m.txt"
+        path.write_text(f"ring fp {digits} n=1\n1\n")
+        argv = ["--in", str(path)]
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "invert", "--format", "json", *argv)
+    assert time.perf_counter() - t0 < 5  # trial division needs 5*10^8 steps on 10^18+3
+    assert code == rc
+    if rc == 0:
+        doc = json.loads(out)
+        assert doc["p"] == int(digits) and doc["mpInverse"] == [["1"]]
+    else:
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_invert_internal_error_exit_3(capsys):

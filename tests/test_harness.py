@@ -212,12 +212,19 @@ PINNED_REPORTS = [
      "988d3969c23410cee6f20fada23a37bb683dd88e98ef685e0142ce21fa11558c"),
     (GeneratorSpec(Mode.CONSTRUCTED_PI, GAUSSIAN, 3, sample_count=10, seed=303),
      "458bdb11226616542101837e8658856c7a6a6349d5800d85e29b5a526fabf3c9"),
+    (GeneratorSpec(Mode.EXHAUSTIVE, F4, 2),
+     "bba9a77a085bc5188bd48ffd5d7d5ac21a068191315cb8a38fc23a82d9839576"),
+    (GeneratorSpec(Mode.CONSTRUCTED_SEP, quad_ext_field(3), 2, sample_count=10, seed=5),
+     "94cd8a122598a9cb5c7ebb05e0a05797bb4af1eab6cd5cf551abcab78c4cf520"),
+    (GeneratorSpec(Mode.RANDOM, GAUSSIAN, 2, sample_count=20, seed=103),
+     "029e64336b0c841f09ed0c29379bec414f87d370821ec46dd166dd0f7d992992"),
 ]
 
 
 @pytest.mark.parametrize("spec,digest", PINNED_REPORTS,
                          ids=["exhaustive-f2", "exhaustive-f3", "random-q",
-                              "constructed-pi-qi"])
+                              "constructed-pi-qi", "exhaustive-f4",
+                              "constructed-sep-f9", "random-qi"])
 def test_report_bytes_pinned(spec, digest, monkeypatch):
     calls = []
 

@@ -1,5 +1,7 @@
 """Scalar arithmetic, involution axioms, and the text grammar."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from starring.starfield import (
     FieldKind,
     FieldMismatchError,
     GAUSSIAN,
+    PRIME_TEST_LIMIT,
     RATIONAL,
     ScalarParseError,
     is_prime,
@@ -118,6 +121,15 @@ def test_f9_modulus_is_smallest_lexicographic():
     assert (F4.ext_b, F4.ext_c) == (1, 1)
 
 
+def test_modulus_matches_brute_force_search():
+    # Euler's criterion must pick the same (b, c) as trying every root
+    for p in (n for n in range(200) if is_prime(n)):
+        brute = next((b, c) for b in range(p) for c in range(p)
+                     if all((x * x + b * x + c) % p for x in range(p)))
+        field = quad_ext_field(p)
+        assert (field.ext_b, field.ext_c) == brute, p
+
+
 # -- algebraic properties ------------------------------------------------------
 
 @given(field_and_pair())
@@ -195,6 +207,9 @@ def test_descriptor_interning():
     assert prime_field(3) is prime_field(3)
     assert quad_ext_field(2) is quad_ext_field(2)
     assert prime_field(3) is not prime_field(7)
+    for field in ALL_FIELDS:
+        assert pickle.loads(pickle.dumps(field)) is field
+        assert copy.deepcopy(field.one()).field is field
 
 
 def test_enumeration_order():
@@ -205,6 +220,16 @@ def test_enumeration_order():
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    trial = [n for n in range(2, 5000) if all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    assert [n for n in range(5000) if is_prime(n)] == trial
+    assert is_prime(10 ** 18 + 3) and not is_prime(10 ** 18 + 1)
+    # strong pseudoprimes to the first 9 and to the first 12 prime bases
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(ValueError):
+        is_prime(PRIME_TEST_LIMIT)
+    with pytest.raises(ValueError):
+        FieldDescriptor(FieldKind.PRIME, PRIME_TEST_LIMIT + 2)
 
 
 def test_gaussian_token_always_two_components():
