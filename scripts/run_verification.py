@@ -4,10 +4,11 @@
 Runs the sweeps of `starring.harness.BATTERY`: the three exhaustive finite
 rings, four randomized rational/Gaussian streams, and the constructed SEP /
 EP-only / shift-pattern streams.  Reports land in ./reports/ (or the
-directory given with --out-dir).  Each summary row ends with the sha256 of
-its report without the `wallTime` line, so two builds produce the same
-reports exactly when this script prints the same digests.  Exits nonzero if
-any sweep finds a counterexample, which a correct build never does.
+directory given with --out-dir).  Each summary row gives the sweep's
+`wallTime`, its time in seconds, and ends with the sha256 of its report
+without the `wallTime` line, so two builds produce the same reports exactly
+when this script prints the same digests.  Exits nonzero if any sweep finds
+a counterexample, which a correct build never does.
 """
 
 import argparse
@@ -48,7 +49,8 @@ def main():
         t = report.totals
         print(f"{name:<26} elements {t['generated']:>5} "
               f"both {t['bothInvertible']:>5} sep {t['sep']:>4} "
-              f"counterexamples {n}  sha256 {digest}  -> {path}")
+              f"counterexamples {n}  wallTime {report.wall_time:8.2f}s  "
+              f"sha256 {digest}  -> {path}")
     print(f"\ntotal wall time {time.perf_counter() - t0:.1f}s; "
           f"{'all sweeps clean' if bad == 0 else f'{bad} COUNTEREXAMPLES'}")
     return 0 if bad == 0 else 1

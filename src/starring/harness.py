@@ -89,7 +89,7 @@ class GeneratorSpec:
             raise InvalidSpecError(f"{self.mode.value} mode needs a seed")
         if self.sample_count < 1:
             raise InvalidSpecError("sample count must be positive")
-        if self.mode is Mode.CONSTRUCTED_EP and not _non_unitary_scalars(self.field):
+        if self.mode is Mode.CONSTRUCTED_EP and not _has_non_unitary_scalar(self.field):
             raise InvalidSpecError(
                 f"{self.field.name} has no invertible scalar of norm != 1; "
                 "no strictly-EP diagonal core exists")
@@ -122,9 +122,7 @@ def _unitary_scalars(field: FieldDescriptor) -> list:
                 for sb in (1, -1):
                     units.append(field.gaussian(sa * a, sb * b, c, c))
         return units
-    one = field.one()
-    return [u for u in field.elements()
-            if not u.is_zero() and u * u.star() == one]
+    return list(_finite_pool(field, unitary=True))
 
 
 def _non_unitary_scalars(field: FieldDescriptor) -> list:
@@ -137,19 +135,32 @@ def _non_unitary_scalars(field: FieldDescriptor) -> list:
         return [field.gaussian(2, 0), field.gaussian(0, 2), field.gaussian(1, 1),
                 field.gaussian(1, -1), field.gaussian(1, 2),
                 field.gaussian(1, 1, 2, 2), field.gaussian(3, 0)]
+    return list(_finite_pool(field, unitary=False))
+
+
+def _finite_pool(field: FieldDescriptor, unitary: bool):
+    """The invertible u of a finite field with (u star(u) == 1) == unitary,
+    lazily, in enumeration order."""
     one = field.one()
-    return [u for u in field.elements()
-            if not u.is_zero() and u * u.star() != one]
+    return (u for u in field.elements()
+            if not u.is_zero() and (u * u.star() == one) is unitary)
+
+
+def _has_non_unitary_scalar(field: FieldDescriptor) -> bool:
+    """Whether _non_unitary_scalars(field) is non-empty, stopping at the
+    first witness instead of walking the whole field."""
+    return field.size() is None or next(_finite_pool(field, unitary=False), None) is not None
 
 
 _ROTATIONS = ((3, 4, 5), (5, 12, 13), (8, 15, 17))
 
 
-def _random_unitary(field: FieldDescriptor, n: int, rng: random.Random) -> Matrix:
-    """A unit-scaled permutation, optionally twisted by a rational rotation."""
+def _random_unitary(field: FieldDescriptor, n: int, rng: random.Random,
+                    units: list) -> Matrix:
+    """A permutation scaled by draws from `units`, optionally twisted by a
+    rational rotation."""
     perm = list(range(n))
     rng.shuffle(perm)
-    units = _unitary_scalars(field)
     zero = field.zero()
     rows = [[zero] * n for _ in range(n)]
     for i, j in enumerate(perm):
@@ -198,12 +209,15 @@ def _exhaustive_element(field: FieldDescriptor, dim: int, index: int) -> Matrix:
     return Matrix(field, [scalars[i * dim:(i + 1) * dim] for i in range(dim)])
 
 
-def _constructed_core(spec: GeneratorSpec, rng: random.Random) -> Matrix:
+def _constructed_core(spec: GeneratorSpec, rng: random.Random, units: list,
+                      non_unitary: list, invertible: list) -> Matrix:
+    """One constructed element, its scalars drawn from the stream's pools:
+    `units` in every mode; `non_unitary` and `invertible` (non_unitary +
+    units) in EP mode only."""
     field, n = spec.field, spec.dim
     if spec.mode is Mode.CONSTRUCTED_PI:
         # nonzero strictly-upper shift pattern with unitary weights: always a
         # partial isometry, never group invertible (nonzero nilpotent)
-        units = _unitary_scalars(field)
         cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
         rng.shuffle(cells)
         want = rng.randint(1, n - 1)
@@ -222,18 +236,15 @@ def _constructed_core(spec: GeneratorSpec, rng: random.Random) -> Matrix:
 
     if spec.mode is Mode.CONSTRUCTED_SEP:
         rank = rng.randint(0, n)
-        pool = _unitary_scalars(field)
-        diag = [rng.choice(pool) for _ in range(rank)]
+        diag = [rng.choice(units) for _ in range(rank)]
     else:
         rank = rng.randint(1, n)
-        non_unitary = _non_unitary_scalars(field)
-        invertible = non_unitary + _unitary_scalars(field)
         # first core entry breaks unitarity, so the element is never SEP
         diag = [rng.choice(non_unitary)]
         diag += [rng.choice(invertible) for _ in range(rank - 1)]
     diag += [spec.field.zero()] * (n - rank)
     core = Matrix.diagonal(field, diag)
-    v = _random_unitary(field, n, rng)
+    v = _random_unitary(field, n, rng, units)
     return v * core * v.star()
 
 
@@ -252,8 +263,15 @@ def generate(spec: GeneratorSpec):
             yield Matrix(field, [[_random_scalar(field, rng) for _ in range(n)]
                                  for _ in range(n)])
         return
+    # Each scalar pool is built once per stream: over a finite field it is a
+    # walk of the whole field.
+    units = _unitary_scalars(field)
+    non_unitary = invertible = []
+    if spec.mode is Mode.CONSTRUCTED_EP:
+        non_unitary = _non_unitary_scalars(field)
+        invertible = non_unitary + units
     for _ in range(spec.sample_count):
-        yield _constructed_core(spec, rng)
+        yield _constructed_core(spec, rng, units, non_unitary, invertible)
 
 
 #: The verification battery: the named sweeps that scripts/run_verification.py

@@ -14,7 +14,9 @@ into the descriptor.  Ring flags (`f32`) and matrix-file ring headers
 
 All arithmetic is exact and every value is kept in a canonical form, so
 scalar equality is plain structural equality.  There are no tolerances
-anywhere in this package.
+anywhere in this package.  Q(i) multiply and inverse work on the integer
+numerators and denominators of both parts and normalize once per part,
+instead of once per Fraction product and sum.
 """
 
 from __future__ import annotations
@@ -219,14 +221,26 @@ class GaussianField(FieldDescriptor):
     def neg(self, x):
         return (-x[0], -x[1])
 
+    @staticmethod
+    def _over_one_denominator(x):
+        # a/b + (c/d)i as the integers (ad, cb, bd): (ad + cb*i)/(bd)
+        re, im = x
+        b, d = re.denominator, im.denominator
+        return re.numerator * d, im.numerator * b, b * d
+
     def mul(self, x, y):
-        (a, b), (c, d) = x, y
-        return (a * c - b * d, a * d + b * c)
+        # ((p + qi)/m)((r + si)/n) = (pr - qs + (ps + qr)i)/(mn), in ints; each
+        # Fraction(num, den) then normalizes its part once.
+        p, q, m = self._over_one_denominator(x)
+        r, s, n = self._over_one_denominator(y)
+        den = m * n
+        return (Fraction(p * r - q * s, den), Fraction(p * s + q * r, den))
 
     def inv(self, x):
-        a, b = x
-        n = a * a + b * b
-        return (a / n, -b / n)
+        # 1/((p + qi)/m) = m(p - qi)/(p^2 + q^2)
+        p, q, m = self._over_one_denominator(x)
+        norm = p * p + q * q
+        return (Fraction(m * p, norm), Fraction(-m * q, norm))
 
     def star(self, x):
         return (x[0], -x[1])

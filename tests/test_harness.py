@@ -201,8 +201,9 @@ def test_report_json_embeds_scalar_grammar():
     assert doc["perTheorem"]["T2.1"]["counterexamples"] == []
 
 
-# sha256 of to_json() without its wallTime line, recorded before the sweep
-# became a single walk over its stream; the report bytes must not move
+# sha256 of to_json() without its wallTime line, each recorded before the
+# change it guards (the single-walk sweep, the per-field classes, the integer
+# Q(i) rules and the once-per-stream scalar pools); the bytes must not move
 PINNED_REPORTS = [
     (GeneratorSpec(Mode.EXHAUSTIVE, F2, 2),
      "d78d4dff88869ffc40e105e4f9037cdcb62daf475c106d20337e157d387c6e56"),
@@ -218,13 +219,18 @@ PINNED_REPORTS = [
      "94cd8a122598a9cb5c7ebb05e0a05797bb4af1eab6cd5cf551abcab78c4cf520"),
     (GeneratorSpec(Mode.RANDOM, GAUSSIAN, 2, sample_count=20, seed=103),
      "029e64336b0c841f09ed0c29379bec414f87d370821ec46dd166dd0f7d992992"),
+    (GeneratorSpec(Mode.RANDOM, GAUSSIAN, 3, sample_count=10, seed=104),
+     "1c1c14966e45bee9a48802d3e694d2491238d64e89134a436c6575940062e714"),
+    (GeneratorSpec(Mode.CONSTRUCTED_EP, quad_ext_field(5), 2, sample_count=10, seed=9),
+     "72d7d463149448708d7b923c07eb28bf6f46d3bb871293e8c0f20bcaffa062b0"),
 ]
 
 
 @pytest.mark.parametrize("spec,digest", PINNED_REPORTS,
                          ids=["exhaustive-f2", "exhaustive-f3", "random-q",
                               "constructed-pi-qi", "exhaustive-f4",
-                              "constructed-sep-f9", "random-qi"])
+                              "constructed-sep-f9", "random-qi",
+                              "random-qi-dim3", "constructed-ep-f25"])
 def test_report_bytes_pinned(spec, digest, monkeypatch):
     calls = []
 
@@ -238,3 +244,22 @@ def test_report_bytes_pinned(spec, digest, monkeypatch):
                      if not ln.startswith('  "wallTime": '))
     assert hashlib.sha256(kept.encode()).hexdigest() == digest
     assert calls == [spec]  # the stream is walked once
+
+
+def test_scalar_pools_built_once_per_stream(monkeypatch):
+    builds = {"_unitary_scalars": 0, "_non_unitary_scalars": 0}
+
+    def counted(name):
+        build = getattr(harness_mod, name)
+
+        def wrapper(field):
+            builds[name] += 1
+            return build(field)
+        return wrapper
+
+    for name in builds:
+        monkeypatch.setattr(harness_mod, name, counted(name))
+    spec = GeneratorSpec(Mode.CONSTRUCTED_EP, quad_ext_field(5), 2,
+                         sample_count=20, seed=1)
+    assert len(list(generate(spec))) == 20
+    assert builds == {"_unitary_scalars": 1, "_non_unitary_scalars": 1}

@@ -87,6 +87,30 @@ def test_scalar_inv_examples():
     assert GAUSSIAN.gaussian(1, 1).inv().token() == "1/2-1/2i"
 
 
+BIG = 10**40
+_gaussian_part = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
+
+
+def _exact_parts(pair):
+    # (numerator, denominator) of each part: equal only when both values are
+    # the same reduced Fraction
+    assert all(type(part) is Fraction for part in pair)
+    return [(part.numerator, part.denominator) for part in pair]
+
+
+@given(st.tuples(_gaussian_part, _gaussian_part),
+       st.tuples(_gaussian_part, _gaussian_part))
+def test_gaussian_rules_match_fraction_formulas(x, y):
+    # Oracle: the textbook formulas, one Fraction operation at a time.
+    (a, b), (c, d) = x, y
+    assert _exact_parts(GAUSSIAN.mul(x, y)) == _exact_parts((a * c - b * d, a * d + b * c))
+    if a or b:
+        n = a * a + b * b
+        assert _exact_parts(GAUSSIAN.inv(x)) == _exact_parts((a / n, -b / n))
+
+
 def test_inv_of_zero_raises():
     for f in ALL_FIELDS:
         with pytest.raises(ZeroDivisionError):
