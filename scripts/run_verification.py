@@ -7,8 +7,9 @@ EP-only / shift-pattern streams.  Reports land in ./reports/ (or the
 directory given with --out-dir).  Each summary row gives the sweep's
 `wallTime`, its time in seconds, and ends with the sha256 of its report
 without the `wallTime` line, so two builds produce the same reports exactly
-when this script prints the same digests.  Exits nonzero if any sweep finds
-a counterexample, which a correct build never does.
+when this script prints the same digests.  Exits 1 if any sweep finds a
+counterexample, which a correct build never does, and 2, before any sweep
+runs, if --entries names an entry the registry does not have.
 """
 
 import argparse
@@ -19,7 +20,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from starring.harness import BATTERY, sweep
+from starring.harness import BATTERY, UnknownEntryError, resolve_entries, sweep
 
 
 def main():
@@ -28,11 +29,14 @@ def main():
     parser.add_argument("--entries", default="all")
     args = parser.parse_args()
 
+    entry_ids = [s.strip() for s in args.entries.split(",") if s.strip()] or "all"
+    try:
+        resolve_entries(entry_ids)
+    except UnknownEntryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entry_ids = [s for s in args.entries.split(",") if s] or "all"
-    if entry_ids == ["all"]:
-        entry_ids = "all"
 
     bad = 0
     t0 = time.perf_counter()

@@ -79,8 +79,10 @@ def group_inverse(a: Matrix) -> Matrix | None:
 class InverseBundle:
     """An element together with its adjoint and optional MP/group inverses.
 
-    Bundles memoize derived products; theorem evaluation over many registry
-    entries reuses them instead of recomputing shared chains.
+    `cached` keeps, per bundle, the values that registry entries share and
+    that are not a product or an adjoint: the derived elements, the MP
+    inverses of derived members and the skew-straight difference.  Shared
+    products are left to the product memo that `sweep` opens per element.
     """
 
     __slots__ = ("a", "star", "mp", "group", "has_mp", "has_group", "_memo")
@@ -141,8 +143,7 @@ def derived_elements(b: InverseBundle) -> dict[str, Matrix]:
 
     def build():
         a, d, g = b.a, b.mp, b.group
-        a3 = b.cached("a^3", lambda: a * a * a)
-        closed_mp_of_group = d * a3 * d
+        closed_mp_of_group = d * (a * a * a) * d
         ag_star = (a * g).star()
         closed_group_of_mp = ag_star * a * ag_star
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .classify import is_projection, is_sep
 from .geninv import InverseBundle
-from .matrix import MAX_DIMENSION, Matrix
+from .matrix import MAX_DIMENSION, Matrix, product_memo
 from .starfield import (
     GAUSSIAN,
     RATIONAL,
@@ -376,6 +376,12 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
     projection scan, the bundle pass and the L3.1 pairs all read: about
     0.4 KB per M_2 element and 0.7 to 1.2 KB per M_3 or M_4 element, so
     about 380 MB at the EXHAUSTIVE_BUDGET ceiling, M_2(F_31).
+
+    Each element's registry entries, derived elements and L2.8 checks run
+    inside one `product_memo()`, opened after its InverseBundle.compute, so
+    every distinct product and adjoint they ask for is computed once for
+    that element.  The memo holds those products only until the element is
+    done, and it is per thread; the L3.1 pairs run without it.
     """
     spec.validate()
     entries = resolve_entries(entry_ids)
@@ -416,23 +422,24 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
             totals["mpInvertible"] += 1
         if bundle.has_group:
             totals["groupInvertible"] += 1
-        if bundle.has_mp and bundle.has_group:
-            totals["bothInvertible"] += 1
-            if is_sep(bundle):
-                totals["sep"] += 1
-            for entry in sep_entries:
-                record(entry, bundle)
-        if bundle.has_mp:
-            for entry in pi_entries:
-                record(entry, bundle)
-            for x in projections:
-                verdict = check_projection_sandwich(bundle, x)
-                sandwich["checked"] += 1
-                if verdict is Verdict.VACUOUS:
-                    sandwich["vacuous"] += 1
-                elif verdict is Verdict.COUNTEREXAMPLE:
-                    sandwich["violations"].append(
-                        {"a": m.to_tokens(), "x": x.to_tokens()})
+        with product_memo():
+            if bundle.has_mp and bundle.has_group:
+                totals["bothInvertible"] += 1
+                if is_sep(bundle):
+                    totals["sep"] += 1
+                for entry in sep_entries:
+                    record(entry, bundle)
+            if bundle.has_mp:
+                for entry in pi_entries:
+                    record(entry, bundle)
+                for x in projections:
+                    verdict = check_projection_sandwich(bundle, x)
+                    sandwich["checked"] += 1
+                    if verdict is Verdict.VACUOUS:
+                        sandwich["vacuous"] += 1
+                    elif verdict is Verdict.COUNTEREXAMPLE:
+                        sandwich["violations"].append(
+                            {"a": m.to_tokens(), "x": x.to_tokens()})
 
     for i, j in _l31_pairs(spec, len(stream)):
         e, a = stream[i], stream[j]

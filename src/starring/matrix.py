@@ -4,10 +4,16 @@ The ring under study is M_n(F) with the conjugate-transpose involution.  The
 public ring interface is square-only; rectangular shapes appear solely as the
 two factors of a full-rank factorization.  All operations are pure and
 matrices are immutable, so values can be shared freely.
+
+Inside a `product_memo()` block, products and adjoints are remembered by
+the identity of their operands, so asking again for one returns the stored
+result; the results are the same values as without the memo.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .starfield import FieldDescriptor, FieldMismatchError, Scalar, parse_ring_header
@@ -132,6 +138,13 @@ class Matrix:
         return Matrix(self.field, [[-a for a in row] for row in self.rows])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        memo = _MEMO.get()
+        if memo is None:
+            return self._product(other)
+        return memo.recall((id(self), id(other)), (self, other),
+                           lambda: self._product(other))
+
+    def _product(self, other: "Matrix") -> "Matrix":
         self._check(other, same_shape=False)
         if self.ncols != other.nrows:
             raise ShapeError(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
@@ -160,6 +173,12 @@ class Matrix:
 
     def star(self) -> "Matrix":
         """Conjugate transpose, the ring involution."""
+        memo = _MEMO.get()
+        if memo is None:
+            return self._adjoint()
+        return memo.recall(id(self), self, self._adjoint)
+
+    def _adjoint(self) -> "Matrix":
         return Matrix(self.field, [[self.rows[j][i].star() for j in range(self.nrows)]
                                    for i in range(self.ncols)])
 
@@ -214,6 +233,48 @@ class Matrix:
 
     def to_tokens(self) -> list[list[str]]:
         return [[e.token() for e in row] for row in self.rows]
+
+
+class _ProductMemo:
+    """Products and adjoints of one memo block.
+
+    A result is stored under the identities of its operands, which the entry
+    holds alive so that no other object can take their ids while the memo is
+    open.  Each new result is first replaced by the stored one of equal value,
+    if any, so equal products reached by different expressions become one
+    object and the products taken on them later hit.
+    """
+
+    __slots__ = ("results", "values")
+
+    def __init__(self):
+        self.results = {}  # operand ids -> (operands, result)
+        self.values = {}  # each distinct result value, once
+
+    def recall(self, key, operands, compute):
+        hit = self.results.get(key)
+        if hit is None:
+            result = compute()
+            hit = self.results[key] = (operands, self.values.setdefault(result, result))
+        return hit[1]
+
+
+# One memo per context, so threads sweeping at once do not share one.
+_MEMO: ContextVar[_ProductMemo | None] = ContextVar("starring_product_memo", default=None)
+
+
+@contextmanager
+def product_memo():
+    """Remember every product and adjoint taken in the block, until it exits.
+
+    The memo holds each distinct result of the block, so it suits a block of
+    work on one element; blocks nest, the inner one starting empty.
+    """
+    token = _MEMO.set(_ProductMemo())
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
 
 
 def _gauss_jordan(rows: list[list[Scalar]], ncols: int) -> list[int]:

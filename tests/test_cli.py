@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import starring
 import starring.harness as harness_mod
 from starring.cli import main, parse_ring
 from starring.geninv import verify_group, verify_penrose
@@ -294,3 +298,21 @@ def test_theorems_json(capsys):
     assert [l["id"] for l in doc["lemmas"]] == ["L2.8", "L3.1"]
     gated = {e["id"]: e["gated"] for e in doc["entries"]}
     assert gated["T3.4e"] is False and gated["T2.1"] is True
+
+
+# -- scripts/run_verification.py ------------------------------------------------------
+
+def test_battery_script_unknown_entry_exit_2(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.dirname(starring.__file__)))
+    script = os.path.join(root, "scripts", "run_verification.py")
+    out_dir = tmp_path / "reports"
+    done = subprocess.run(
+        [sys.executable, script, "--entries", "X1, X9", "--out-dir", str(out_dir)],
+        capture_output=True, text=True, timeout=60)
+    # ids are stripped as in `verify --entries`, and the bad one is named
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert "error:" in done.stderr and "'X9'" in done.stderr
+    assert "Traceback" not in done.stderr
+    # rejected before any sweep ran: no summary row, no report directory
+    assert done.stdout == ""
+    assert not out_dir.exists()

@@ -1,11 +1,15 @@
 """Generation, sweep orchestration, reports, and determinism."""
 
+import dataclasses
 import hashlib
 import json
+import sys
+import threading
 
 import pytest
 
 import starring.harness as harness_mod
+import starring.theorems as theorems_mod
 from starring.classify import classify
 from starring.geninv import InverseBundle, verify_group, verify_penrose
 from starring.harness import (
@@ -21,7 +25,9 @@ from starring.harness import (
     resolve_entries,
     sweep,
 )
+from starring.matrix import Matrix
 from starring.starfield import GAUSSIAN, RATIONAL, prime_field, quad_ext_field
+from starring.theorems import Kind, evaluate, registry, registry_map
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -239,11 +245,88 @@ def test_report_bytes_pinned(spec, digest, monkeypatch):
         return generate(s)
 
     monkeypatch.setattr(harness_mod, "generate", counted_generate)
-    text = sweep(spec, "all").to_json()
-    kept = "\n".join(ln for ln in text.splitlines()
-                     if not ln.startswith('  "wallTime": '))
-    assert hashlib.sha256(kept.encode()).hexdigest() == digest
+    assert _report_digest(sweep(spec, "all")) == digest
     assert calls == [spec]  # the stream is walked once
+
+
+def _report_digest(report) -> str:
+    kept = "\n".join(ln for ln in report.to_json().splitlines()
+                     if not ln.startswith('  "wallTime": '))
+    return hashlib.sha256(kept.encode()).hexdigest()
+
+
+def _memo_is_open(m: Matrix) -> bool:
+    return m * m is m * m and m.star() is m.star()
+
+
+# -- the per-element product memo ------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(Mode.EXHAUSTIVE, F3, 2),
+    GeneratorSpec(Mode.RANDOM, GAUSSIAN, 3, sample_count=10, seed=104),
+], ids=["exhaustive-f3", "random-qi-dim3"])
+def test_memoized_verdicts_equal_memo_free_evaluation(spec, monkeypatch):
+    swept = {}
+
+    def recording_evaluate(entry, bundle):
+        assert _memo_is_open(bundle.a)
+        case = evaluate(entry, bundle)
+        swept[(len(swept), entry.id)] = case
+        return case
+
+    monkeypatch.setattr(harness_mod, "evaluate", recording_evaluate)
+    sweep(spec, "all")
+
+    fresh = {}
+    for m in generate(spec):
+        b = InverseBundle.compute(m)
+        assert not _memo_is_open(m)
+        for entry in registry():
+            if b.has_mp and (entry.kind is Kind.PI or b.has_group):
+                fresh[(len(fresh), entry.id)] = evaluate(entry, b)
+    assert fresh and swept == fresh
+
+
+def test_memo_closed_after_failing_entry(monkeypatch):
+    x1 = registry_map()["X1"]
+    seen = []
+
+    def boom(b):
+        seen.append(_memo_is_open(b.a))
+        raise RuntimeError("entry failed")
+
+    monkeypatch.setattr(theorems_mod, "_ENTRIES",
+                        (dataclasses.replace(x1, condition=boom),))
+    with pytest.raises(RuntimeError, match="entry failed"):
+        sweep(GeneratorSpec(Mode.EXHAUSTIVE, F2, 2), ["X1"])
+    assert seen == [True]
+    a = Matrix.from_ints(F3, [[1, 2], [0, 1]])
+    assert a * a is not a * a
+    assert a.star() is not a.star()
+
+
+def test_threads_sweep_concurrently():
+    # exhaustive F_2 and F_3, random Q and random Q(i): more threads than CPUs
+    picked = PINNED_REPORTS[:3] + PINNED_REPORTS[6:7]
+    digests = [None] * len(picked)
+
+    def run(k):
+        digests[k] = _report_digest(sweep(picked[k][0], "all"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(picked))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert digests == [digest for _, digest in picked]
+    a = Matrix.from_ints(F3, [[1, 2], [0, 1]])
+    assert not _memo_is_open(a)  # no thread's memo leaked into this one
 
 
 def test_scalar_pools_built_once_per_stream(monkeypatch):
