@@ -79,10 +79,11 @@ def group_inverse(a: Matrix) -> Matrix | None:
 class InverseBundle:
     """An element together with its adjoint and optional MP/group inverses.
 
-    `cached` keeps, per bundle, the values that registry entries share and
-    that are not a product or an adjoint: the derived elements, the MP
-    inverses of derived members and the skew-straight difference.  Shared
-    products are left to the product memo that `sweep` opens per element.
+    `cached` keeps, per bundle, the one shared value that registry entries
+    build from more than a product, difference, negation or adjoint: the
+    derived elements, which take MP and group inverses.  Everything else they
+    share is left to the product memo that `sweep` opens per element before
+    it computes the bundle.
     """
 
     __slots__ = ("a", "star", "mp", "group", "has_mp", "has_group", "_memo")

@@ -377,11 +377,14 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
     0.4 KB per M_2 element and 0.7 to 1.2 KB per M_3 or M_4 element, so
     about 380 MB at the EXHAUSTIVE_BUDGET ceiling, M_2(F_31).
 
-    Each element's registry entries, derived elements and L2.8 checks run
-    inside one `product_memo()`, opened after its InverseBundle.compute, so
-    every distinct product and adjoint they ask for is computed once for
-    that element.  The memo holds those products only until the element is
-    done, and it is per thread; the L3.1 pairs run without it.
+    Each element's InverseBundle.compute, registry entries, derived
+    elements and L2.8 checks run inside one `product_memo()`, so every
+    distinct product, difference, negation and adjoint they ask for is
+    computed once for that element.  The L3.1 pairs are grouped by e, in the
+    order each e first appears, and each group runs inside one memo of its
+    own, so e^2 is taken once per e and a repeated pair costs no product.
+    A memo holds its results only until its element or group is done, and
+    it is per thread.
     """
     spec.validate()
     entries = resolve_entries(entry_ids)
@@ -417,12 +420,12 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
             })
 
     for m in stream:
-        bundle = InverseBundle.compute(m)
-        if bundle.has_mp:
-            totals["mpInvertible"] += 1
-        if bundle.has_group:
-            totals["groupInvertible"] += 1
         with product_memo():
+            bundle = InverseBundle.compute(m)
+            if bundle.has_mp:
+                totals["mpInvertible"] += 1
+            if bundle.has_group:
+                totals["groupInvertible"] += 1
             if bundle.has_mp and bundle.has_group:
                 totals["bothInvertible"] += 1
                 if is_sep(bundle):
@@ -441,11 +444,17 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
                         sandwich["violations"].append(
                             {"a": m.to_tokens(), "x": x.to_tokens()})
 
+    partners = {}  # e's stream index -> the a indices it pairs with
     for i, j in _l31_pairs(spec, len(stream)):
-        e, a = stream[i], stream[j]
-        duality["checked"] += 1
-        if check_left_right_duality(e, a) is Verdict.COUNTEREXAMPLE:
-            duality["violations"].append({"e": e.to_tokens(), "a": a.to_tokens()})
+        partners.setdefault(i, []).append(j)
+    for i, js in partners.items():
+        e = stream[i]
+        with product_memo():
+            for j in js:
+                a = stream[j]
+                duality["checked"] += 1
+                if check_left_right_duality(e, a) is Verdict.COUNTEREXAMPLE:
+                    duality["violations"].append({"e": e.to_tokens(), "a": a.to_tokens()})
 
     for entry in entries:
         tallies[entry.id][_TALLY_KEYS[entry.gated][1]].sort(key=_sort_key)

@@ -5,9 +5,10 @@ public ring interface is square-only; rectangular shapes appear solely as the
 two factors of a full-rank factorization.  All operations are pure and
 matrices are immutable, so values can be shared freely.
 
-Inside a `product_memo()` block, products and adjoints are remembered by
-the identity of their operands, so asking again for one returns the stored
-result; the results are the same values as without the memo.
+Inside a `product_memo()` block, products, differences, negations and
+adjoints are remembered by the identity of their operands, so asking again
+for one returns the stored result; the results are the same values as
+without the memo.
 """
 
 from __future__ import annotations
@@ -107,7 +108,9 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.field.kind, self.field.p, self.rows))
+        # the raw values alone: __eq__ also asks for the same field, and
+        # hashing the Scalar wrappers and their field costs a call per entry
+        return hash(tuple(e.value for row in self.rows for e in row))
 
     def __repr__(self):
         body = "; ".join(" ".join(e.token() for e in row) for row in self.rows)
@@ -130,11 +133,24 @@ class Matrix:
                                    for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        memo = _MEMO.get()
+        if memo is None:
+            return self._difference(other)
+        return memo.recall(("-", id(self), id(other)), (self, other),
+                           lambda: self._difference(other))
+
+    def _difference(self, other: "Matrix") -> "Matrix":
         self._check(other)
         return Matrix(self.field, [[a - b for a, b in zip(ra, rb)]
                                    for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "Matrix":
+        memo = _MEMO.get()
+        if memo is None:
+            return self._negation()
+        return memo.recall(("-", id(self)), self, self._negation)
+
+    def _negation(self) -> "Matrix":
         return Matrix(self.field, [[-a for a in row] for row in self.rows])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
@@ -236,7 +252,7 @@ class Matrix:
 
 
 class _ProductMemo:
-    """Products and adjoints of one memo block.
+    """Products, differences, negations and adjoints of one memo block.
 
     A result is stored under the identities of its operands, which the entry
     holds alive so that no other object can take their ids while the memo is
@@ -248,7 +264,7 @@ class _ProductMemo:
     __slots__ = ("results", "values")
 
     def __init__(self):
-        self.results = {}  # operand ids -> (operands, result)
+        self.results = {}  # operation and operand ids -> (operands, result)
         self.values = {}  # each distinct result value, once
 
     def recall(self, key, operands, compute):
@@ -265,7 +281,8 @@ _MEMO: ContextVar[_ProductMemo | None] = ContextVar("starring_product_memo", def
 
 @contextmanager
 def product_memo():
-    """Remember every product and adjoint taken in the block, until it exits.
+    """Remember every product, difference, negation and adjoint taken in the
+    block, until it exits.
 
     The memo holds each distinct result of the block, so it suits a block of
     work on one element; blocks nest, the inner one starting empty.

@@ -1,0 +1,71 @@
+"""The pair summary of scripts/bench_pairs.py, on fixed numbers."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+METRICS = [
+    {"name": "elements_per_s", "better": "higher", "bound": 0.12},
+    {"name": "latency_p50_ms", "better": "lower", "bound": 0.2},
+]
+
+
+def _pairs(parent, change):
+    return [{"parent": {"elements_per_s": p, "latency_p50_ms": 1000 / p},
+             "change": {"elements_per_s": c, "latency_p50_ms": 1000 / c}}
+            for p, c in zip(parent, change)]
+
+
+def test_quartiles_inclusive():
+    assert bench_pairs.quartiles([4, 1, 3, 2, 5]) == {"median": 3, "q1": 2, "q3": 4}
+    assert bench_pairs.quartiles([7.5]) == {"median": 7.5, "q1": 7.5, "q3": 7.5}
+
+
+def test_clear_gain_is_shown_in_both_directions():
+    parent = [20, 21, 19, 20, 22, 20, 21, 19, 20, 20]
+    change = [27, 28, 26, 27, 29, 27, 28, 26, 27, 18]  # the last pair lost
+    s = bench_pairs.summarize(_pairs(parent, change), METRICS)
+    rate, latency = s["elements_per_s"], s["latency_p50_ms"]
+    assert rate["change_wins"] == latency["change_wins"] == 9
+    assert rate["pairs"] == 10
+    assert rate["parent"] == {"median": 20, "q1": 20, "q3": 20.75}
+    assert rate["change"]["median"] == 27
+    assert rate["ratio_change_over_parent"] == pytest.approx(1.35)
+    assert rate["parent_quartile_spread"] == pytest.approx(0.75)
+    assert rate["gain_shown"] and latency["gain_shown"]
+    assert rate["worse_than_parent_by"] == latency["worse_than_parent_by"] == 0.0
+    assert rate["within_bound"] and latency["within_bound"]
+
+
+def test_eight_wins_of_ten_show_no_gain():
+    parent = [20] * 10
+    change = [30] * 8 + [10, 20]  # a tie counts for neither side
+    s = bench_pairs.summarize(_pairs(parent, change), METRICS)["elements_per_s"]
+    assert s["change_wins"] == 8
+    assert not s["gain_shown"]
+
+
+def test_gap_inside_the_parents_spread_shows_no_gain():
+    parent = [10, 30, 10, 30, 10, 30, 10, 30, 10, 30]
+    change = [p + 1 for p in parent]
+    s = bench_pairs.summarize(_pairs(parent, change), METRICS)["elements_per_s"]
+    assert s["change_wins"] == 10
+    assert s["parent_quartile_spread"] == 20
+    assert not s["gain_shown"]
+
+
+def test_regression_against_bound():
+    parent = [100] * 4
+    s = bench_pairs.summarize(_pairs(parent, [90] * 4), METRICS)
+    assert s["elements_per_s"]["worse_than_parent_by"] == pytest.approx(0.10)
+    assert s["elements_per_s"]["within_bound"]
+    assert s["latency_p50_ms"]["worse_than_parent_by"] == pytest.approx(1 / 9)
+    s = bench_pairs.summarize(_pairs(parent, [85] * 4), METRICS)["elements_per_s"]
+    assert s["worse_than_parent_by"] == pytest.approx(0.15)
+    assert not s["within_bound"]

@@ -25,7 +25,7 @@ from starring.harness import (
     resolve_entries,
     sweep,
 )
-from starring.matrix import Matrix
+from starring.matrix import Matrix, product_memo
 from starring.starfield import GAUSSIAN, RATIONAL, prime_field, quad_ext_field
 from starring.theorems import Kind, evaluate, registry, registry_map
 
@@ -327,6 +327,48 @@ def test_threads_sweep_concurrently():
     assert digests == [digest for _, digest in picked]
     a = Matrix.from_ints(F3, [[1, 2], [0, 1]])
     assert not _memo_is_open(a)  # no thread's memo leaked into this one
+
+
+def test_memo_recalls_differences_and_negations():
+    a = Matrix.from_ints(F3, [[1, 2], [0, 1]])
+    b = Matrix.from_ints(F3, [[2, 2], [1, 0]])
+    with product_memo():
+        assert a - b is a - b
+        assert -a is -a
+        assert a - b == Matrix.from_ints(F3, [[2, 0], [2, 1]])
+        assert -a == Matrix.from_ints(F3, [[2, 1], [0, 2]])
+        assert b - a == Matrix.from_ints(F3, [[1, 0], [1, 2]])
+    for first, second in ((a - b, a - b), (-a, -a)):
+        assert first == second and first is not second
+
+
+def test_l31_products_taken_once_per_e_and_pair(monkeypatch):
+    spec = GeneratorSpec(Mode.RANDOM, RATIONAL, 2, sample_count=20, seed=7)
+    pairs = set(harness_mod._l31_pairs(spec, 20))
+    check, multiply = harness_mod.check_left_right_duality, Matrix._product
+    inside = []
+    products = [0]
+
+    def duality(e, a):
+        inside.append(True)
+        try:
+            return check(e, a)
+        finally:
+            inside.pop()
+
+    def product(self, other):
+        products[0] += bool(inside)
+        return multiply(self, other)
+
+    monkeypatch.setattr(harness_mod, "check_left_right_duality", duality)
+    monkeypatch.setattr(Matrix, "_product", product)
+    assert sweep(spec, ["X1"]).lemmas["L3.1"]["checked"] == 400
+    # e e once per e; a e, (a - e)^2 and (a - e) a once per distinct pair,
+    # except that a e is e e on a pair (e, e)
+    es = {i for i, _ in pairs}
+    diagonal = sum(i == j for i, j in pairs)
+    assert diagonal > 0
+    assert products[0] == len(es) + 3 * len(pairs) - diagonal
 
 
 def test_scalar_pools_built_once_per_stream(monkeypatch):

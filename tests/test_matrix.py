@@ -84,6 +84,19 @@ def test_star_examples():
                                           [GAUSSIAN.zero(), GAUSSIAN.zero()]])
 
 
+@pytest.mark.parametrize("field", FAMILIES, ids=lambda f: f.name)
+def test_equal_matrices_hash_equal_across_routes(field):
+    a = Matrix.from_ints(field, [[1, 2], [0, 1]])
+    routes = [
+        parse_inline(field, "1 2; 0 1"),
+        a * Matrix.identity(field, 2),
+        a.try_invert() * (a * a),
+    ]
+    for m in routes:
+        assert m == a and m is not a
+        assert hash(m) == hash(a)
+
+
 def test_scale_and_neg():
     a = Matrix.from_ints(RATIONAL, [[1, 2], [3, 4]])
     assert a.scale(RATIONAL.from_int(-1)) == -a

@@ -3,15 +3,17 @@
 import pytest
 
 from starring.classify import is_projection, is_sep
-from starring.geninv import InverseBundle
+from starring.geninv import InverseBundle, derived_elements, mp_inverse, verify_penrose
 from starring.harness import GeneratorSpec, Mode, generate
 from starring.matrix import Matrix
-from starring.starfield import GAUSSIAN, RATIONAL, prime_field
+from starring.starfield import GAUSSIAN, RATIONAL, prime_field, quad_ext_field
 from starring.theorems import (
+    _CORE_SIX,
     Kind,
     Verdict,
     check_left_right_duality,
     check_projection_sandwich,
+    _member_mp,
     evaluate,
     registry,
     registry_map,
@@ -215,3 +217,25 @@ def test_duality_exhaustive_f3_pairs():
         check_left_right_duality(e, a) is Verdict.COUNTEREXAMPLE
         for e in elems for a in elems)
     assert violations == 0
+
+
+# -- MP inverses of the derived members -----------------------------------------
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(Mode.EXHAUSTIVE, F3, 2),
+    GeneratorSpec(Mode.EXHAUSTIVE, quad_ext_field(2), 2),
+    GeneratorSpec(Mode.RANDOM, GAUSSIAN, 3, sample_count=10, seed=104),
+], ids=["exhaustive-f3", "exhaustive-f4", "random-qi-dim3"])
+def test_member_mp_closed_forms_match_direct_inverse(spec):
+    checked = 0
+    for m in generate(spec):
+        b = InverseBundle.compute(m)
+        if not (b.has_mp and b.has_group):
+            continue
+        elems = derived_elements(b)
+        for name in _CORE_SIX:
+            x, x_mp = elems[name], _member_mp(b, name)
+            assert x_mp == mp_inverse(x), (name, m)
+            assert all(verify_penrose(x, x_mp)), (name, m)
+        checked += 1
+    assert checked > 0
