@@ -8,24 +8,17 @@ never exceptions; a correct build reports none.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .classify import is_projection, is_sep
 from .geninv import InverseBundle
 from .matrix import MAX_DIMENSION, Matrix, product_memo
-from .starfield import (
-    GAUSSIAN,
-    RATIONAL,
-    FieldDescriptor,
-    FieldKind,
-    prime_field,
-    quad_ext_field,
-)
+from .starfield import GAUSSIAN, RATIONAL, FieldDescriptor, prime_field, quad_ext_field
 from .theorems import (
     Kind,
     TheoremEntry,
@@ -39,7 +32,8 @@ from .theorems import (
 
 REPORT_SCHEMA = "starring-report/1"
 
-#: ceiling on fieldSize^(n^2) for exhaustive enumeration
+#: ceiling on fieldSize^(n^2) for exhaustive enumeration, and on the field
+#: size whose elements a constructed stream walks for its scalar pools
 EXHAUSTIVE_BUDGET = 10**6
 
 #: ceiling on ordered (e, a) pairs fed to the L3.1 duality check
@@ -77,8 +71,8 @@ class GeneratorSpec:
     def validate(self):
         if not 1 <= self.dim <= MAX_DIMENSION:
             raise InvalidSpecError(f"dimension {self.dim} outside 1..{MAX_DIMENSION}")
+        size = self.field.size()
         if self.mode is Mode.EXHAUSTIVE:
-            size = self.field.size()
             if size is None:
                 raise InvalidSpecError("exhaustive mode needs a finite field")
             if size ** (self.dim * self.dim) > EXHAUSTIVE_BUDGET:
@@ -89,7 +83,12 @@ class GeneratorSpec:
             raise InvalidSpecError(f"{self.mode.value} mode needs a seed")
         if self.sample_count < 1:
             raise InvalidSpecError("sample count must be positive")
-        if self.mode is Mode.CONSTRUCTED_EP and not _has_non_unitary_scalar(self.field):
+        if self.mode is not Mode.RANDOM and size is not None and size > EXHAUSTIVE_BUDGET:
+            # the scalar pools of a constructed stream are a walk of the field
+            raise BudgetExceededError(
+                f"{self.mode.value} mode walks all {size} elements of {self.field.name}, "
+                f"beyond the budget {EXHAUSTIVE_BUDGET}")
+        if self.mode is Mode.CONSTRUCTED_EP and not self.field.has_non_unitary_scalar():
             raise InvalidSpecError(
                 f"{self.field.name} has no invertible scalar of norm != 1; "
                 "no strictly-EP diagonal core exists")
@@ -107,58 +106,13 @@ class GeneratorSpec:
         }
 
 
-# -- scalar pools -------------------------------------------------------------
-
-def _unitary_scalars(field: FieldDescriptor) -> list:
-    """Invertible u with u star(u) = 1; diagonal cores of SEP elements."""
-    kind = field.kind
-    if kind is FieldKind.RATIONAL:
-        return [field.one(), -field.one()]
-    if kind is FieldKind.GAUSSIAN_RATIONAL:
-        units = [field.one(), -field.one(),
-                 field.gaussian(0, 1), field.gaussian(0, -1)]
-        for a, b, c in ((3, 4, 5), (5, 12, 13)):
-            for sa in (1, -1):
-                for sb in (1, -1):
-                    units.append(field.gaussian(sa * a, sb * b, c, c))
-        return units
-    return list(_finite_pool(field, unitary=True))
-
-
-def _non_unitary_scalars(field: FieldDescriptor) -> list:
-    """Invertible u with u star(u) != 1; these break partial isometry."""
-    kind = field.kind
-    if kind is FieldKind.RATIONAL:
-        return [field.rational(2), field.rational(-2), field.rational(3),
-                field.rational(1, 2), field.rational(-3, 2), field.rational(5, 3)]
-    if kind is FieldKind.GAUSSIAN_RATIONAL:
-        return [field.gaussian(2, 0), field.gaussian(0, 2), field.gaussian(1, 1),
-                field.gaussian(1, -1), field.gaussian(1, 2),
-                field.gaussian(1, 1, 2, 2), field.gaussian(3, 0)]
-    return list(_finite_pool(field, unitary=False))
-
-
-def _finite_pool(field: FieldDescriptor, unitary: bool):
-    """The invertible u of a finite field with (u star(u) == 1) == unitary,
-    lazily, in enumeration order."""
-    one = field.one()
-    return (u for u in field.elements()
-            if not u.is_zero() and (u * u.star() == one) is unitary)
-
-
-def _has_non_unitary_scalar(field: FieldDescriptor) -> bool:
-    """Whether _non_unitary_scalars(field) is non-empty, stopping at the
-    first witness instead of walking the whole field."""
-    return field.size() is None or next(_finite_pool(field, unitary=False), None) is not None
-
-
 _ROTATIONS = ((3, 4, 5), (5, 12, 13), (8, 15, 17))
 
 
 def _random_unitary(field: FieldDescriptor, n: int, rng: random.Random,
                     units: list) -> Matrix:
-    """A permutation scaled by draws from `units`, optionally twisted by a
-    rational rotation."""
+    """A permutation scaled by draws from `units`; over Q and Q(i), the
+    fields of unbounded size, often twisted by a rational rotation."""
     perm = list(range(n))
     rng.shuffle(perm)
     zero = field.zero()
@@ -166,30 +120,16 @@ def _random_unitary(field: FieldDescriptor, n: int, rng: random.Random,
     for i, j in enumerate(perm):
         rows[i][j] = rng.choice(units)
     v = Matrix(field, rows)
-    if (field.kind in (FieldKind.RATIONAL, FieldKind.GAUSSIAN_RATIONAL)
-            and n >= 2 and rng.random() < 0.75):
+    if field.size() is None and n >= 2 and rng.random() < 0.75:
         i, j = sorted(rng.sample(range(n), 2))
         a, b, c = _ROTATIONS[rng.randrange(len(_ROTATIONS))]
-        cos, sin = Fraction(a, c), Fraction(b, c)
         rot_rows = [[field.one() if r == s else zero for s in range(n)]
                     for r in range(n)]
-        rot_rows[i][i] = field.rational(cos.numerator, cos.denominator)
-        rot_rows[i][j] = field.rational(sin.numerator, sin.denominator)
-        rot_rows[j][i] = field.rational(-sin.numerator, sin.denominator)
-        rot_rows[j][j] = field.rational(cos.numerator, cos.denominator)
+        rot_rows[i][i] = rot_rows[j][j] = field.rational(a, c)
+        rot_rows[i][j] = field.rational(b, c)
+        rot_rows[j][i] = field.rational(-b, c)
         v = Matrix(field, rot_rows) * v
     return v
-
-
-def _random_scalar(field: FieldDescriptor, rng: random.Random):
-    kind = field.kind
-    if kind is FieldKind.RATIONAL:
-        return field.rational(rng.randint(-3, 3), rng.randint(1, 3))
-    if kind is FieldKind.GAUSSIAN_RATIONAL:
-        re = (rng.randint(-3, 3), rng.randint(1, 3))
-        im = (rng.randint(-3, 3), rng.randint(1, 3))
-        return field.gaussian(re[0], im[0], re[1], im[1])
-    return field.element_at(rng.randrange(field.size()))
 
 
 # -- element streams -----------------------------------------------------------
@@ -260,15 +200,15 @@ def generate(spec: GeneratorSpec):
     rng = random.Random(spec.seed)
     if spec.mode is Mode.RANDOM:
         for _ in range(spec.sample_count):
-            yield Matrix(field, [[_random_scalar(field, rng) for _ in range(n)]
+            yield Matrix(field, [[field.random_scalar(rng) for _ in range(n)]
                                  for _ in range(n)])
         return
     # Each scalar pool is built once per stream: over a finite field it is a
     # walk of the whole field.
-    units = _unitary_scalars(field)
+    units = field.unitary_scalars()
     non_unitary = invertible = []
     if spec.mode is Mode.CONSTRUCTED_EP:
-        non_unitary = _non_unitary_scalars(field)
+        non_unitary = field.non_unitary_scalars()
         invertible = non_unitary + units
     for _ in range(spec.sample_count):
         yield _constructed_core(spec, rng, units, non_unitary, invertible)
@@ -344,6 +284,13 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+
+    def digest(self) -> str:
+        """sha256 of to_json() without its wallTime line: two reports have
+        the same digest exactly when they differ at most in wall time."""
+        kept = "\n".join(ln for ln in self.to_json().splitlines()
+                         if not ln.startswith('  "wallTime": '))
+        return hashlib.sha256(kept.encode()).hexdigest()
 
 
 def _l31_pairs(spec: GeneratorSpec, total: int):

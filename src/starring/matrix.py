@@ -93,9 +93,6 @@ class Matrix:
             raise ShapeError("not a square matrix")
         return self.nrows
 
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]

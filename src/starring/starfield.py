@@ -9,7 +9,11 @@ Each family is one subclass of `FieldDescriptor` holding all the rules for
 its raw values: `add`, `neg`, `mul`, `inv`, `star`, `is_zero`, `token`,
 `parse_value`, `from_int`, `element_at`, `name` and `size`.  A `Scalar` is a
 descriptor and a raw value; each operator is a field check plus one call
-into the descriptor.  Ring flags (`f32`) and matrix-file ring headers
+into the descriptor.  The field also owns the scalars the harness samples:
+`unitary_scalars`, `non_unitary_scalars`, `has_non_unitary_scalar` and
+`random_scalar`.  A finite field walks its elements for the pools and draws
+uniformly; Q and Q(i) keep fixed pools and draw small numerators and
+denominators.  Ring flags (`f32`) and matrix-file ring headers
 (`fp2 3`) are parsed here too.
 
 All arithmetic is exact and every value is kept in a canonical form, so
@@ -166,6 +170,31 @@ class FieldDescriptor:
         for i in range(self.size()):
             yield self.element_at(i)
 
+    # -- sampling (Q and Q(i) override these with fixed pools) ------------------
+
+    def _walk(self, unitary: bool):
+        # the invertible u with (u star(u) == 1) == unitary, lazily
+        one = self.one()
+        return (u for u in self.elements()
+                if not u.is_zero() and (u * u.star() == one) is unitary)
+
+    def unitary_scalars(self) -> list:
+        """Invertible u with u star(u) = 1; diagonal cores of SEP elements."""
+        return list(self._walk(True))
+
+    def non_unitary_scalars(self) -> list:
+        """Invertible u with u star(u) != 1; these break partial isometry."""
+        return list(self._walk(False))
+
+    def has_non_unitary_scalar(self) -> bool:
+        """Whether non_unitary_scalars() is non-empty, stopping at the first
+        witness instead of walking the whole field."""
+        return next(self._walk(False), None) is not None
+
+    def random_scalar(self, rng) -> "Scalar":
+        """One scalar drawn with `rng`, a random.Random."""
+        return self.element_at(rng.randrange(self.size()))
+
     # -- text grammar ----------------------------------------------------------
 
     def parse(self, token: str) -> "Scalar":
@@ -207,6 +236,18 @@ class RationalField(FieldDescriptor):
 
     def rational(self, num, den=1):
         return Scalar(self, Fraction(num, den))
+
+    def unitary_scalars(self):
+        return [self.one(), -self.one()]
+
+    def non_unitary_scalars(self):
+        return [self.rational(*q) for q in ((2,), (-2,), (3,), (1, 2), (-3, 2), (5, 3))]
+
+    def has_non_unitary_scalar(self):
+        return True
+
+    def random_scalar(self, rng):
+        return self.rational(rng.randint(-3, 3), rng.randint(1, 3))
 
 
 class GaussianField(FieldDescriptor):
@@ -270,6 +311,24 @@ class GaussianField(FieldDescriptor):
 
     def gaussian(self, re_num, im_num, re_den=1, im_den=1):
         return Scalar(self, (Fraction(re_num, re_den), Fraction(im_num, im_den)))
+
+    def unitary_scalars(self):
+        # the units 1, -1, i, -i, then (+-a +- bi)/c on Pythagorean triples
+        return [self.one(), -self.one(), self.gaussian(0, 1), self.gaussian(0, -1)] + [
+            self.gaussian(sa * a, sb * b, c, c)
+            for a, b, c in ((3, 4, 5), (5, 12, 13)) for sa in (1, -1) for sb in (1, -1)]
+
+    def non_unitary_scalars(self):
+        return [self.gaussian(*z) for z in ((2, 0), (0, 2), (1, 1), (1, -1), (1, 2),
+                                             (1, 1, 2, 2), (3, 0))]
+
+    def has_non_unitary_scalar(self):
+        return True
+
+    def random_scalar(self, rng):
+        re_num, re_den = rng.randint(-3, 3), rng.randint(1, 3)
+        im_num, im_den = rng.randint(-3, 3), rng.randint(1, 3)
+        return self.gaussian(re_num, im_num, re_den, im_den)
 
 
 class PrimeField(FieldDescriptor):

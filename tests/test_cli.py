@@ -226,6 +226,18 @@ def test_verify_missing_seed_exit_2(capsys):
     assert rc == 2 and "seed" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "enumerate"])
+@pytest.mark.parametrize("kind", ["sep", "ep", "pi"])
+def test_constructed_over_large_field_exit_2(capsys, command, kind):
+    # F_{10007^2} has about 10^8 elements; the scalar pools would walk them all
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, command, "--ring", "f100072", "--dim", "2",
+                       "--constructed", kind, "--count", "1", "--seed", "1")
+    assert time.perf_counter() - t0 < 5
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
 def test_verify_counterexample_exit_1(capsys, monkeypatch):
     broken = TheoremEntry("T2.1", Kind.SEP, "always false", lambda b: False)
     monkeypatch.setattr(harness_mod, "registry", lambda: [broken])

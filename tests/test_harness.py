@@ -1,10 +1,10 @@
 """Generation, sweep orchestration, reports, and determinism."""
 
 import dataclasses
-import hashlib
 import json
 import sys
 import threading
+import time
 
 import pytest
 
@@ -55,6 +55,23 @@ def test_exhaustive_budget():
     with pytest.raises(BudgetExceededError):
         GeneratorSpec(Mode.EXHAUSTIVE, F5, 3).validate()  # 5^9 > 10^6
     assert 5 ** 9 > EXHAUSTIVE_BUDGET
+
+
+@pytest.mark.parametrize("mode", [Mode.CONSTRUCTED_SEP, Mode.CONSTRUCTED_EP,
+                                  Mode.CONSTRUCTED_PI])
+def test_constructed_budget_refuses_large_fields(mode):
+    # a constructed stream walks its field for the scalar pools; F_{1009^2}
+    # has 1,018,081 elements, just past the budget
+    big = quad_ext_field(1009)
+    assert big.size() > EXHAUSTIVE_BUDGET
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="1018081"):
+        GeneratorSpec(mode, big, 2, sample_count=1, seed=1).validate()
+    assert time.perf_counter() - t0 < 5
+    # the largest prime under the budget is still accepted without a walk
+    GeneratorSpec(mode, prime_field(999983), 2, sample_count=1, seed=1).validate()
+    random_spec = GeneratorSpec(Mode.RANDOM, big, 2, sample_count=3, seed=1)
+    assert len(list(generate(random_spec))) == 3
 
 
 def test_invalid_specs():
@@ -209,7 +226,8 @@ def test_report_json_embeds_scalar_grammar():
 
 # sha256 of to_json() without its wallTime line, each recorded before the
 # change it guards (the single-walk sweep, the per-field classes, the integer
-# Q(i) rules and the once-per-stream scalar pools); the bytes must not move
+# Q(i) rules, the once-per-stream scalar pools and the sampling rules moved
+# onto the field classes); the bytes must not move
 PINNED_REPORTS = [
     (GeneratorSpec(Mode.EXHAUSTIVE, F2, 2),
      "d78d4dff88869ffc40e105e4f9037cdcb62daf475c106d20337e157d387c6e56"),
@@ -229,6 +247,14 @@ PINNED_REPORTS = [
      "1c1c14966e45bee9a48802d3e694d2491238d64e89134a436c6575940062e714"),
     (GeneratorSpec(Mode.CONSTRUCTED_EP, quad_ext_field(5), 2, sample_count=10, seed=9),
      "72d7d463149448708d7b923c07eb28bf6f46d3bb871293e8c0f20bcaffa062b0"),
+    (GeneratorSpec(Mode.CONSTRUCTED_EP, RATIONAL, 2, sample_count=10, seed=21),
+     "ad35b799cd79296ccfaa01b93bde4858269469a06ff1caec8083ec34832a21e7"),
+    (GeneratorSpec(Mode.CONSTRUCTED_SEP, prime_field(7), 2, sample_count=10, seed=22),
+     "27cb4e52e836603b9404d064c596398bcdeb2ef9a5c5953cec48121783c19edc"),
+    (GeneratorSpec(Mode.CONSTRUCTED_EP, GAUSSIAN, 2, sample_count=10, seed=23),
+     "a720d3d77779ff0c585c7cff4be278b3b2a634ecf62869da04758d7305fc5ccd"),
+    (GeneratorSpec(Mode.RANDOM, quad_ext_field(3), 2, sample_count=20, seed=24),
+     "f9533939ee16bed7f76dc6bd6e949b0eed0cc88acd39c26ced483b0a808f76b6"),
 ]
 
 
@@ -236,7 +262,9 @@ PINNED_REPORTS = [
                          ids=["exhaustive-f2", "exhaustive-f3", "random-q",
                               "constructed-pi-qi", "exhaustive-f4",
                               "constructed-sep-f9", "random-qi",
-                              "random-qi-dim3", "constructed-ep-f25"])
+                              "random-qi-dim3", "constructed-ep-f25",
+                              "constructed-ep-q", "constructed-sep-f7",
+                              "constructed-ep-qi", "random-f9"])
 def test_report_bytes_pinned(spec, digest, monkeypatch):
     calls = []
 
@@ -245,14 +273,8 @@ def test_report_bytes_pinned(spec, digest, monkeypatch):
         return generate(s)
 
     monkeypatch.setattr(harness_mod, "generate", counted_generate)
-    assert _report_digest(sweep(spec, "all")) == digest
+    assert sweep(spec, "all").digest() == digest
     assert calls == [spec]  # the stream is walked once
-
-
-def _report_digest(report) -> str:
-    kept = "\n".join(ln for ln in report.to_json().splitlines()
-                     if not ln.startswith('  "wallTime": '))
-    return hashlib.sha256(kept.encode()).hexdigest()
 
 
 def _memo_is_open(m: Matrix) -> bool:
@@ -311,7 +333,7 @@ def test_threads_sweep_concurrently():
     digests = [None] * len(picked)
 
     def run(k):
-        digests[k] = _report_digest(sweep(picked[k][0], "all"))
+        digests[k] = sweep(picked[k][0], "all").digest()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)
@@ -372,19 +394,19 @@ def test_l31_products_taken_once_per_e_and_pair(monkeypatch):
 
 
 def test_scalar_pools_built_once_per_stream(monkeypatch):
-    builds = {"_unitary_scalars": 0, "_non_unitary_scalars": 0}
+    field = quad_ext_field(5)
+    builds = {"unitary_scalars": 0, "non_unitary_scalars": 0}
 
     def counted(name):
-        build = getattr(harness_mod, name)
+        build = getattr(type(field), name)
 
-        def wrapper(field):
+        def wrapper(self):
             builds[name] += 1
-            return build(field)
+            return build(self)
         return wrapper
 
     for name in builds:
-        monkeypatch.setattr(harness_mod, name, counted(name))
-    spec = GeneratorSpec(Mode.CONSTRUCTED_EP, quad_ext_field(5), 2,
-                         sample_count=20, seed=1)
+        monkeypatch.setattr(type(field), name, counted(name))
+    spec = GeneratorSpec(Mode.CONSTRUCTED_EP, field, 2, sample_count=20, seed=1)
     assert len(list(generate(spec))) == 20
-    assert builds == {"_unitary_scalars": 1, "_non_unitary_scalars": 1}
+    assert builds == {"unitary_scalars": 1, "non_unitary_scalars": 1}

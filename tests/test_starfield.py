@@ -242,6 +242,28 @@ def test_enumeration_order():
     assert F9.size() == 9 and F3.size() == 3 and RATIONAL.size() is None
 
 
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f.name)
+def test_scalar_pools_partition_invertibles(field):
+    units, others = field.unitary_scalars(), field.non_unitary_scalars()
+    one = field.one()
+    assert field.has_non_unitary_scalar() is bool(others)
+    if field.size() is None:
+        # fixed pools over Q and Q(i): invertible, split by the norm u star(u)
+        assert units and others
+        for u in units + others:
+            assert not u.is_zero() and u * u.inv() == one
+        assert all(u * u.star() == one for u in units)
+        assert all(u * u.star() != one for u in others)
+        return
+    # a finite field splits its nonzero elements, each pool in enumeration order
+    nonzero = [u for u in field.elements() if not u.is_zero()]
+    assert units == [u for u in nonzero if u * u.star() == one]
+    assert others == [u for u in nonzero if u * u.star() != one]
+    # the norm-1 group: +-1 in F_p, the p + 1 roots of u^(p+1) = 1 in F_{p^2}
+    quad = field.kind is FieldKind.QUAD_EXT
+    assert len(units) == (field.p + 1 if quad else len({1, field.p - 1}))
+
+
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     trial = [n for n in range(2, 5000) if all(n % d for d in range(2, int(n ** 0.5) + 1))]
