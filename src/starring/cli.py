@@ -38,13 +38,21 @@ class UsageError(ValueError):
     pass
 
 
+def _decode(data: bytes, source: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(f"{source} is not UTF-8 text: byte "
+                               f"0x{data[exc.start]:02x} at offset {exc.start}") from None
+
+
 def _read_matrix(args) -> Matrix:
     if args.infile:
         if args.infile == "-":
-            text = sys.stdin.read()
+            text = _decode(sys.stdin.buffer.read(), "stdin")
         else:
-            with open(args.infile, encoding="utf-8") as fh:
-                text = fh.read()
+            with open(args.infile, "rb") as fh:
+                text = _decode(fh.read(), args.infile)
         return parse_matrix(text)
     if args.matrix:
         if not args.ring:

@@ -105,8 +105,9 @@ class Matrix:
         )
 
     def __hash__(self):
-        # the raw values alone: __eq__ also asks for the same field, and
-        # hashing the Scalar wrappers and their field costs a call per entry
+        # the raw values alone (Fractions, ints or tuples of ints): __eq__
+        # also asks for the same field, and hashing the Scalar wrappers and
+        # their field costs a call per entry
         return hash(tuple(e.value for row in self.rows for e in row))
 
     def __repr__(self):

@@ -18,9 +18,9 @@ denominators.  Ring flags (`f32`) and matrix-file ring headers
 
 All arithmetic is exact and every value is kept in a canonical form, so
 scalar equality is plain structural equality.  There are no tolerances
-anywhere in this package.  Q(i) multiply and inverse work on the integer
-numerators and denominators of both parts and normalize once per part,
-instead of once per Fraction product and sum.
+anywhere in this package.  A Q(i) value is one integer triple (p, q, d),
+meaning (p + q*i)/d, reduced by a single gcd per operation; only its token
+text goes through Fraction.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import operator
 import re
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
 
 class FieldMismatchError(ValueError):
@@ -250,67 +251,81 @@ class RationalField(FieldDescriptor):
         return self.rational(rng.randint(-3, 3), rng.randint(1, 3))
 
 
+def _reduced(p, q, d):
+    # (p + q*i)/d with d > 0 in lowest terms: divide out gcd(p, q, d)
+    g = gcd(p, q, d)
+    if g == 1:
+        return (p, q, d)
+    return (p // g, q // g, d // g)
+
+
+def _from_parts(re, im):
+    # the triple of re + im*i, two Fractions
+    b, e = re.denominator, im.denominator
+    return _reduced(re.numerator * e, im.numerator * b, b * e)
+
+
 class GaussianField(FieldDescriptor):
-    """Q(i) with complex conjugation; raw values are (re, im) Fraction pairs."""
+    """Q(i) with complex conjugation; raw values are integer triples.
+
+    The raw value (p, q, d) is (p + q*i)/d with d > 0 and gcd(p, q, d) = 1,
+    so zero is (0, 0, 1) and equal values are equal triples.  Every rule
+    computes on the integers and reduces its result once.
+    """
 
     kind = FieldKind.GAUSSIAN_RATIONAL
     name = "Q(i)"
 
     def add(self, x, y):
-        return (x[0] + y[0], x[1] + y[1])
+        p, q, m = x
+        r, s, n = y
+        if m == n:
+            return _reduced(p + r, q + s, m)
+        return _reduced(p * n + r * m, q * n + s * m, m * n)
 
     def neg(self, x):
-        return (-x[0], -x[1])
-
-    @staticmethod
-    def _over_one_denominator(x):
-        # a/b + (c/d)i as the integers (ad, cb, bd): (ad + cb*i)/(bd)
-        re, im = x
-        b, d = re.denominator, im.denominator
-        return re.numerator * d, im.numerator * b, b * d
+        return (-x[0], -x[1], x[2])
 
     def mul(self, x, y):
-        # ((p + qi)/m)((r + si)/n) = (pr - qs + (ps + qr)i)/(mn), in ints; each
-        # Fraction(num, den) then normalizes its part once.
-        p, q, m = self._over_one_denominator(x)
-        r, s, n = self._over_one_denominator(y)
-        den = m * n
-        return (Fraction(p * r - q * s, den), Fraction(p * s + q * r, den))
+        # ((p + qi)/m)((r + si)/n) = (pr - qs + (ps + qr)i)/(mn)
+        p, q, m = x
+        r, s, n = y
+        return _reduced(p * r - q * s, p * s + q * r, m * n)
 
     def inv(self, x):
         # 1/((p + qi)/m) = m(p - qi)/(p^2 + q^2)
-        p, q, m = self._over_one_denominator(x)
-        norm = p * p + q * q
-        return (Fraction(m * p, norm), Fraction(-m * q, norm))
+        p, q, m = x
+        return _reduced(m * p, -m * q, p * p + q * q)
 
     def star(self, x):
-        return (x[0], -x[1])
+        return (x[0], -x[1], x[2])
 
     def is_zero(self, x):
         return not x[0] and not x[1]
 
     def token(self, x):
-        return f"{x[0]}{'-' if x[1] < 0 else '+'}{abs(x[1])}i"
+        p, q, d = x
+        return f"{Fraction(p, d)}{'-' if q < 0 else '+'}{Fraction(abs(q), d)}i"
 
     def parse_value(self, token):
         m = _GAUSSIAN_RE.fullmatch(token)
         if m:
-            return (Fraction(m.group(1)), Fraction(m.group(2)))
+            return _from_parts(Fraction(m.group(1)), Fraction(m.group(2)))
         m = _GAUSSIAN_IMAG_RE.fullmatch(token)
         if m:
-            return (Fraction(0), Fraction(m.group(1)))
+            return _from_parts(Fraction(0), Fraction(m.group(1)))
         if _RATIONAL_RE.fullmatch(token):
-            return (Fraction(token), Fraction(0))
+            return _from_parts(Fraction(token), Fraction(0))
         raise ScalarParseError(token)
 
     def from_int(self, k):
-        return Scalar(self, (Fraction(k), Fraction(0)))
+        return Scalar(self, (k, 0, 1))
 
     def rational(self, num, den=1):
-        return Scalar(self, (Fraction(num, den), Fraction(0)))
+        return Scalar(self, _from_parts(Fraction(num, den), Fraction(0)))
 
     def gaussian(self, re_num, im_num, re_den=1, im_den=1):
-        return Scalar(self, (Fraction(re_num, re_den), Fraction(im_num, im_den)))
+        return Scalar(self, _from_parts(Fraction(re_num, re_den), Fraction(im_num, im_den)))
 
     def unitary_scalars(self):
         # the units 1, -1, i, -i, then (+-a +- bi)/c on Pythagorean triples
@@ -453,8 +468,9 @@ class Scalar:
     """An element of one of the involutive fields, in canonical form.
 
     Canonical forms: rationals are reduced fractions with positive
-    denominator (guaranteed by Fraction), residues lie in [0, p).  Scalars
-    are immutable; arithmetic returns new values.
+    denominator (guaranteed by Fraction), Gaussian rationals are triples
+    (p, q, d) with d > 0 and gcd(p, q, d) = 1, residues lie in [0, p).
+    Scalars are immutable; arithmetic returns new values.
     """
 
     __slots__ = ("field", "value")

@@ -1,6 +1,7 @@
 """CLI behavior: parsing, output formats, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -155,6 +156,25 @@ def test_invert_internal_error_exit_3(capsys):
     rc, out, err = run(capsys, "invert", "--matrix", f"{x} 1; 1 {x}", "--ring", "q")
     assert rc == 3 and out == ""
     assert err.splitlines()[-1].startswith("error: internal error: ValueError")
+
+
+@pytest.mark.parametrize("command", ["invert", "classify"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_non_utf8_input_exit_2(capsys, monkeypatch, tmp_path, command, source):
+    data = b"ring q n=1\n\xff\n"
+    if source == "file":
+        path = tmp_path / "m.txt"
+        path.write_bytes(data)
+        arg = name = str(path)
+    else:
+        # stdin as the interpreter opens it: text over a byte buffer, which
+        # turns undecodable bytes into lone surrogates
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
+        arg, name = "-", "stdin"
+    rc, out, err = run(capsys, command, "--in", arg)
+    assert rc == 2 and out == ""
+    assert err == f"error: {name} is not UTF-8 text: byte 0xff at offset 11\n"
 
 
 # -- classify ----------------------------------------------------------------------

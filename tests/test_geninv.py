@@ -1,6 +1,9 @@
 """MP and group inverses against equation-level and search oracles."""
 
+import functools
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -232,3 +235,103 @@ def test_mp_involution_identities_exhaustive_f2():
         if mp is not None:
             assert mp_inverse(mp) == a
             assert mp_inverse(a.star()) == mp.star()
+
+
+# -- Greville oracle ------------------------------------------------------------------
+# T. N. E. Greville, "Some applications of the pseudoinverse of a matrix",
+# SIAM Review 2 (1960): A^+ built one column at a time.  It computes on
+# lists of (re, im) Fraction pairs and shares no code with starring's
+# arithmetic, so it also checks the scalars that Penrose re-verification
+# relies on.
+
+_C_ZERO = (Fraction(0), Fraction(0))
+_QI_TOKEN = re.compile(r"([+-]?\d+(?:/\d+)?)([+-]\d+(?:/\d+)?)i")
+
+
+def _c_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _m_mul(a, b):
+    return [[functools.reduce(lambda s, t: (s[0] + t[0], s[1] + t[1]),
+                              (_c_mul(x, y) for x, y in zip(row, col)), _C_ZERO)
+             for col in zip(*b)] for row in a]
+
+
+def _m_sub(a, b):
+    return [[(x[0] - y[0], x[1] - y[1]) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _m_adjoint(a):
+    return [[(x[0], -x[1]) for x in col] for col in zip(*a)]
+
+
+def _m_scale(a, r):
+    return [[(x[0] * r, x[1] * r) for x in row] for row in a]
+
+
+def _col_pinv(c):
+    # c^+ = c*/(c* c) for a nonzero column c, and the zero row for c = 0
+    norm = _m_mul(_m_adjoint(c), c)[0][0][0]
+    return _m_scale(_m_adjoint(c), 1 / norm) if norm else [[_C_ZERO] * len(c)]
+
+
+def greville_mp(a):
+    """The MP inverse of a (list of rows of (re, im) pairs), column-recursively."""
+    cols = [[[x] for x in col] for col in zip(*a)]
+    a_k, p_k = cols[0], _col_pinv(cols[0])
+    for col in cols[1:]:
+        d = _m_mul(p_k, col)
+        c = _m_sub(col, _m_mul(a_k, d))
+        if any(x != _C_ZERO for row in c for x in row):
+            b = _col_pinv(c)
+        else:
+            dd = _m_mul(_m_adjoint(d), d)[0][0][0]
+            b = _m_scale(_m_mul(_m_adjoint(d), p_k), 1 / (1 + dd))
+        p_k = _m_sub(p_k, _m_mul(d, b)) + b
+        a_k = [row + c_row for row, c_row in zip(a_k, col)]
+    return p_k
+
+
+def _read_token(token):
+    m = _QI_TOKEN.fullmatch(token)
+    if m:
+        return (Fraction(m.group(1)), Fraction(m.group(2)))
+    return (Fraction(token), Fraction(0))
+
+
+def _token(x, field):
+    if field is RATIONAL:
+        return str(x[0])
+    return f"{x[0]}{'-' if x[1] < 0 else '+'}{abs(x[1])}i"
+
+
+@pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN], ids=["Q", "Q(i)"])
+def test_mp_matches_greville_oracle(field):
+    rng = random.Random(1960)
+
+    def part():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    def entry():
+        return (part(), part() if field is GAUSSIAN else Fraction(0))
+
+    seen = set()
+    for n in range(1, 5):
+        for _ in range(12):
+            # rank at most r as an n x r by r x n product; a zeroed column
+            # sends Greville's recursion through its other branch
+            r = rng.randint(0, n)
+            left = [[entry() for _ in range(r)] for _ in range(n)]
+            right = [[entry() for _ in range(n)] for _ in range(r)]
+            grid = _m_mul(left, right) if r else [[_C_ZERO] * n for _ in range(n)]
+            if rng.random() < 0.3:
+                j = rng.randrange(n)
+                grid = [[_C_ZERO if k == j else x for k, x in enumerate(row)] for row in grid]
+            a = Matrix(field, [[field.parse(_token(x, field)) for x in row] for row in grid])
+            got = mp_inverse(a)
+            assert got is not None
+            assert [[_read_token(t) for t in row] for row in got.to_tokens()] == greville_mp(grid)
+            seen.add((n, a.rank()))
+    # every dimension met a singular and a full-rank matrix
+    assert all((n, n) in seen and any((n, k) in seen for k in range(n)) for n in range(1, 5))

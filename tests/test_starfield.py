@@ -1,6 +1,7 @@
 """Scalar arithmetic, involution axioms, and the text grammar."""
 
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -91,24 +92,40 @@ BIG = 10**40
 _gaussian_part = st.one_of(
     st.just(Fraction(0)),
     st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
+_gaussian_parts = st.tuples(_gaussian_part, _gaussian_part)
 
 
-def _exact_parts(pair):
-    # (numerator, denominator) of each part: equal only when both values are
-    # the same reduced Fraction
-    assert all(type(part) is Fraction for part in pair)
-    return [(part.numerator, part.denominator) for part in pair]
+def _parts(s):
+    # (re, im) of a Q(i) scalar, once its raw triple (p, q, d), meaning
+    # (p + q*i)/d, is checked canonical: integers, d > 0, gcd(p, q, d) = 1
+    p, q, d = s.value
+    assert all(type(k) is int for k in (p, q, d))
+    assert d > 0 and math.gcd(p, q, d) == 1
+    return Fraction(p, d), Fraction(q, d)
 
 
-@given(st.tuples(_gaussian_part, _gaussian_part),
-       st.tuples(_gaussian_part, _gaussian_part))
+@given(_gaussian_parts, _gaussian_parts)
 def test_gaussian_rules_match_fraction_formulas(x, y):
     # Oracle: the textbook formulas, one Fraction operation at a time.
     (a, b), (c, d) = x, y
-    assert _exact_parts(GAUSSIAN.mul(x, y)) == _exact_parts((a * c - b * d, a * d + b * c))
+    u = GAUSSIAN.gaussian(a.numerator, b.numerator, a.denominator, b.denominator)
+    v = GAUSSIAN.gaussian(c.numerator, d.numerator, c.denominator, d.denominator)
+    assert _parts(u) == (a, b) and _parts(v) == (c, d)
+    assert _parts(u + v) == (a + c, b + d)
+    assert _parts(u - v) == (a - c, b - d)
+    assert _parts(-u) == (-a, -b)
+    assert _parts(u.star()) == (a, -b)
+    assert _parts(u * v) == (a * c - b * d, a * d + b * c)
+    # sums over one denominator, whose results must still be reduced
+    assert _parts(u + u) == (2 * a, 2 * b)
+    assert _parts(u + u.star()) == (2 * a, 0)
+    assert _parts(u - u) == (0, 0)
     if a or b:
         n = a * a + b * b
-        assert _exact_parts(GAUSSIAN.inv(x)) == _exact_parts((a / n, -b / n))
+        assert _parts(u.inv()) == (a / n, -b / n)
+    for s, (re, im) in ((u, x), (u * v, (a * c - b * d, a * d + b * c))):
+        assert s.token() == f"{re}{'-' if im < 0 else '+'}{abs(im)}i"
+        assert GAUSSIAN.parse(s.token()) == s
 
 
 def test_inv_of_zero_raises():
