@@ -7,10 +7,12 @@ with its traceback and an `error:` line; never 1, so a crash cannot pass
 for a counterexample).  All output uses the same scalar grammar the parsers
 accept, so printed matrices can be fed straight back in.
 
-`verify` holds its whole element stream in memory: about 0.4 KB per M_2
-element and 0.7 to 1.2 KB per M_3 or M_4 element, so about 380 MB for the
-largest exhaustive stream the budget admits, M_2(F_31).  The named sweeps
-of the verification battery are `starring.harness.BATTERY`.
+`verify` holds its whole element stream in memory and walks it once, with
+one product memo per element: about 0.2 KB per M_2 element and 0.3 to
+0.4 KB per M_3 or M_4 element, so about 200 MB for the largest exhaustive
+stream the budget admits, M_2(F_31); a `--count` above the same budget of
+10^6 exits 2.  The named sweeps of the verification battery are
+`starring.harness.BATTERY`.
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ class UsageError(ValueError):
 
 def _decode(data: bytes, source: str) -> str:
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")  # a leading byte-order mark is dropped
     except UnicodeDecodeError as exc:
+        at = exc.start + len(data) - len(exc.object)  # exc.object lacks the mark
         raise MatrixParseError(f"{source} is not UTF-8 text: byte "
-                               f"0x{data[exc.start]:02x} at offset {exc.start}") from None
+                               f"0x{data[at]:02x} at offset {at}") from None
 
 
 def _read_matrix(args) -> Matrix:
@@ -119,7 +122,7 @@ def cmd_classify(args) -> int:
 def _build_spec(args) -> GeneratorSpec:
     if not args.ring:
         raise UsageError("--ring is required")
-    if not args.dim:
+    if args.dim is None:
         raise UsageError("--dim is required")
     field = parse_ring(args.ring)
     if args.exhaustive:

@@ -9,6 +9,7 @@ never exceptions; a correct build reports none.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import time
@@ -32,8 +33,9 @@ from .theorems import (
 
 REPORT_SCHEMA = "starring-report/1"
 
-#: ceiling on fieldSize^(n^2) for exhaustive enumeration, and on the field
-#: size whose elements a constructed stream walks for its scalar pools
+#: ceiling on fieldSize^(n^2) for exhaustive enumeration, on the sample count
+#: of the other streams, and on the field size whose elements a constructed
+#: stream walks for its scalar pools
 EXHAUSTIVE_BUDGET = 10**6
 
 #: ceiling on ordered (e, a) pairs fed to the L3.1 duality check
@@ -83,6 +85,10 @@ class GeneratorSpec:
             raise InvalidSpecError(f"{self.mode.value} mode needs a seed")
         if self.sample_count < 1:
             raise InvalidSpecError("sample count must be positive")
+        if self.sample_count > EXHAUSTIVE_BUDGET:
+            # a sweep holds its whole stream in memory
+            raise BudgetExceededError(
+                f"sample count {self.sample_count} exceeds the budget {EXHAUSTIVE_BUDGET}")
         if self.mode is not Mode.RANDOM and size is not None and size > EXHAUSTIVE_BUDGET:
             # the scalar pools of a constructed stream are a walk of the field
             raise BudgetExceededError(
@@ -134,26 +140,10 @@ def _random_unitary(field: FieldDescriptor, n: int, rng: random.Random,
 
 # -- element streams -----------------------------------------------------------
 
-def _exhaustive_element(field: FieldDescriptor, dim: int, index: int) -> Matrix:
-    """Element number `index` in lexicographic entry order (entry (0,0) is
-    the most significant digit)."""
-    q = field.size()
-    cells = dim * dim
-    digits = []
-    rem = index
-    for _ in range(cells):
-        rem, d = divmod(rem, q)
-        digits.append(d)
-    digits.reverse()
-    scalars = [field.element_at(d) for d in digits]
-    return Matrix(field, [scalars[i * dim:(i + 1) * dim] for i in range(dim)])
-
-
 def _constructed_core(spec: GeneratorSpec, rng: random.Random, units: list,
-                      non_unitary: list, invertible: list) -> Matrix:
+                      non_unitary: list) -> Matrix:
     """One constructed element, its scalars drawn from the stream's pools:
-    `units` in every mode; `non_unitary` and `invertible` (non_unitary +
-    units) in EP mode only."""
+    `units` in every mode, `non_unitary` in EP mode only."""
     field, n = spec.field, spec.dim
     if spec.mode is Mode.CONSTRUCTED_PI:
         # nonzero strictly-upper shift pattern with unitary weights: always a
@@ -181,7 +171,12 @@ def _constructed_core(spec: GeneratorSpec, rng: random.Random, units: list,
         rank = rng.randint(1, n)
         # first core entry breaks unitarity, so the element is never SEP
         diag = [rng.choice(non_unitary)]
-        diag += [rng.choice(invertible) for _ in range(rank - 1)]
+        # the others are invertible: one draw of an index into non_unitary +
+        # units, the rng call a choice from the joined list would make
+        split = len(non_unitary)
+        for _ in range(rank - 1):
+            k = rng.choice(range(split + len(units)))
+            diag.append(non_unitary[k] if k < split else units[k - split])
     diag += [spec.field.zero()] * (n - rank)
     core = Matrix.diagonal(field, diag)
     v = _random_unitary(field, n, rng, units)
@@ -193,9 +188,10 @@ def generate(spec: GeneratorSpec):
     spec.validate()
     field, n = spec.field, spec.dim
     if spec.mode is Mode.EXHAUSTIVE:
-        total = field.size() ** (n * n)
-        for index in range(total):
-            yield _exhaustive_element(field, n, index)
+        # lexicographic entry order, entry (0,0) the most significant digit;
+        # every element shares the field's scalar objects
+        for cells in itertools.product(field.elements(), repeat=n * n):
+            yield Matrix(field, [cells[i * n:(i + 1) * n] for i in range(n)])
         return
     rng = random.Random(spec.seed)
     if spec.mode is Mode.RANDOM:
@@ -206,12 +202,9 @@ def generate(spec: GeneratorSpec):
     # Each scalar pool is built once per stream: over a finite field it is a
     # walk of the whole field.
     units = field.unitary_scalars()
-    non_unitary = invertible = []
-    if spec.mode is Mode.CONSTRUCTED_EP:
-        non_unitary = field.non_unitary_scalars()
-        invertible = non_unitary + units
+    non_unitary = field.non_unitary_scalars() if spec.mode is Mode.CONSTRUCTED_EP else []
     for _ in range(spec.sample_count):
-        yield _constructed_core(spec, rng, units, non_unitary, invertible)
+        yield _constructed_core(spec, rng, units, non_unitary)
 
 
 #: The verification battery: the named sweeps that scripts/run_verification.py
@@ -320,18 +313,18 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
     and participate in both lemma checks.
 
     The stream is drawn once and held in memory as a list, which the
-    projection scan, the bundle pass and the L3.1 pairs all read: about
-    0.4 KB per M_2 element and 0.7 to 1.2 KB per M_3 or M_4 element, so
-    about 380 MB at the EXHAUSTIVE_BUDGET ceiling, M_2(F_31).
+    projection scan and the element loop read: about 0.2 KB per M_2 element
+    over F_31 and 0.3 to 0.4 KB per M_3(F_3) or M_4(F_2) element, since an
+    exhaustive stream's matrices share the field's scalar objects, so about
+    200 MB at the EXHAUSTIVE_BUDGET ceiling, M_2(F_31).
 
-    Each element's InverseBundle.compute, registry entries, derived
-    elements and L2.8 checks run inside one `product_memo()`, so every
-    distinct product, difference, negation and adjoint they ask for is
-    computed once for that element.  The L3.1 pairs are grouped by e, in the
-    order each e first appears, and each group runs inside one memo of its
-    own, so e^2 is taken once per e and a repeated pair costs no product.
-    A memo holds its results only until its element or group is done, and
-    it is per thread.
+    The stream is walked once.  Each element's InverseBundle.compute,
+    registry entries, derived elements, L2.8 checks and the L3.1 pairs
+    whose e it is run inside one `product_memo()`, so every distinct
+    product, difference, negation and adjoint they ask for is computed once
+    for that element: e^2, which the entries already took, and a repeated
+    pair cost no product.  A memo holds its results only until its element
+    is done, and it is per thread.
     """
     spec.validate()
     entries = resolve_entries(entry_ids)
@@ -366,7 +359,11 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
                 "sepHolds": case.sep_holds,
             })
 
-    for m in stream:
+    partners = {}  # e's stream index -> the a indices it pairs with in L3.1
+    for i, j in _l31_pairs(spec, len(stream)):
+        partners.setdefault(i, []).append(j)
+
+    for i, m in enumerate(stream):
         with product_memo():
             bundle = InverseBundle.compute(m)
             if bundle.has_mp:
@@ -390,18 +387,11 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
                     elif verdict is Verdict.COUNTEREXAMPLE:
                         sandwich["violations"].append(
                             {"a": m.to_tokens(), "x": x.to_tokens()})
-
-    partners = {}  # e's stream index -> the a indices it pairs with
-    for i, j in _l31_pairs(spec, len(stream)):
-        partners.setdefault(i, []).append(j)
-    for i, js in partners.items():
-        e = stream[i]
-        with product_memo():
-            for j in js:
+            for j in partners.get(i, ()):
                 a = stream[j]
                 duality["checked"] += 1
-                if check_left_right_duality(e, a) is Verdict.COUNTEREXAMPLE:
-                    duality["violations"].append({"e": e.to_tokens(), "a": a.to_tokens()})
+                if check_left_right_duality(m, a) is Verdict.COUNTEREXAMPLE:
+                    duality["violations"].append({"e": m.to_tokens(), "a": a.to_tokens()})
 
     for entry in entries:
         tallies[entry.id][_TALLY_KEYS[entry.gated][1]].sort(key=_sort_key)

@@ -8,7 +8,7 @@ matrices are immutable, so values can be shared freely.
 Inside a `product_memo()` block, products, differences, negations and
 adjoints are remembered by the identity of their operands, so asking again
 for one returns the stored result; the results are the same values as
-without the memo.
+without the memo.  A sweep opens one such block per element.
 """
 
 from __future__ import annotations
@@ -131,11 +131,7 @@ class Matrix:
                                    for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        memo = _MEMO.get()
-        if memo is None:
-            return self._difference(other)
-        return memo.recall(("-", id(self), id(other)), (self, other),
-                           lambda: self._difference(other))
+        return _recall(("-", id(self), id(other)), (self, other), Matrix._difference)
 
     def _difference(self, other: "Matrix") -> "Matrix":
         self._check(other)
@@ -143,20 +139,13 @@ class Matrix:
                                    for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "Matrix":
-        memo = _MEMO.get()
-        if memo is None:
-            return self._negation()
-        return memo.recall(("-", id(self)), self, self._negation)
+        return _recall(("-", id(self)), (self,), Matrix._negation)
 
     def _negation(self) -> "Matrix":
         return Matrix(self.field, [[-a for a in row] for row in self.rows])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        memo = _MEMO.get()
-        if memo is None:
-            return self._product(other)
-        return memo.recall((id(self), id(other)), (self, other),
-                           lambda: self._product(other))
+        return _recall((id(self), id(other)), (self, other), Matrix._product)
 
     def _product(self, other: "Matrix") -> "Matrix":
         self._check(other, same_shape=False)
@@ -187,10 +176,7 @@ class Matrix:
 
     def star(self) -> "Matrix":
         """Conjugate transpose, the ring involution."""
-        memo = _MEMO.get()
-        if memo is None:
-            return self._adjoint()
-        return memo.recall(id(self), self, self._adjoint)
+        return _recall(id(self), (self,), Matrix._adjoint)
 
     def _adjoint(self) -> "Matrix":
         return Matrix(self.field, [[self.rows[j][i].star() for j in range(self.nrows)]
@@ -249,32 +235,31 @@ class Matrix:
         return [[e.token() for e in row] for row in self.rows]
 
 
-class _ProductMemo:
-    """Products, differences, negations and adjoints of one memo block.
+# The open memo of this context as (results, values): results maps an
+# operation and its operands' ids to (operands, result), holding the operands
+# alive so that no other object can take their ids while the memo is open;
+# values holds each distinct result once.  One memo per context, so threads
+# sweeping at once do not share one.
+_MEMO: ContextVar[tuple[dict, dict] | None] = ContextVar("starring_product_memo",
+                                                         default=None)
 
-    A result is stored under the identities of its operands, which the entry
-    holds alive so that no other object can take their ids while the memo is
-    open.  Each new result is first replaced by the stored one of equal value,
-    if any, so equal products reached by different expressions become one
+
+def _recall(key, operands, compute):
+    """compute(*operands), or inside a memo block the result stored under key.
+
+    Each new result is first replaced by the stored one of equal value, if
+    any, so equal products reached by different expressions become one
     object and the products taken on them later hit.
     """
-
-    __slots__ = ("results", "values")
-
-    def __init__(self):
-        self.results = {}  # operation and operand ids -> (operands, result)
-        self.values = {}  # each distinct result value, once
-
-    def recall(self, key, operands, compute):
-        hit = self.results.get(key)
-        if hit is None:
-            result = compute()
-            hit = self.results[key] = (operands, self.values.setdefault(result, result))
-        return hit[1]
-
-
-# One memo per context, so threads sweeping at once do not share one.
-_MEMO: ContextVar[_ProductMemo | None] = ContextVar("starring_product_memo", default=None)
+    memo = _MEMO.get()
+    if memo is None:
+        return compute(*operands)
+    results, values = memo
+    hit = results.get(key)
+    if hit is None:
+        result = compute(*operands)
+        hit = results[key] = (operands, values.setdefault(result, result))
+    return hit[1]
 
 
 @contextmanager
@@ -283,9 +268,10 @@ def product_memo():
     block, until it exits.
 
     The memo holds each distinct result of the block, so it suits a block of
-    work on one element; blocks nest, the inner one starting empty.
+    work on one element, as a sweep opens for each element it draws; blocks
+    nest, the inner one starting empty.
     """
-    token = _MEMO.set(_ProductMemo())
+    token = _MEMO.set(({}, {}))
     try:
         yield
     finally:

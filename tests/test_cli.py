@@ -14,7 +14,7 @@ import starring
 import starring.harness as harness_mod
 from starring.cli import main, parse_ring
 from starring.geninv import verify_group, verify_penrose
-from starring.matrix import parse_matrix
+from starring.matrix import Matrix, parse_matrix
 from starring.starfield import FieldKind
 from starring.theorems import Kind, TheoremEntry
 
@@ -158,23 +158,45 @@ def test_invert_internal_error_exit_3(capsys):
     assert err.splitlines()[-1].startswith("error: internal error: ValueError")
 
 
-@pytest.mark.parametrize("command", ["invert", "classify"])
-@pytest.mark.parametrize("source", ["file", "stdin"])
-def test_non_utf8_input_exit_2(capsys, monkeypatch, tmp_path, command, source):
-    data = b"ring q n=1\n\xff\n"
+def _feed(monkeypatch, tmp_path, source, data):
+    """The --in argument that hands `data` to the CLI from a file or stdin."""
     if source == "file":
         path = tmp_path / "m.txt"
         path.write_bytes(data)
-        arg = name = str(path)
-    else:
-        # stdin as the interpreter opens it: text over a byte buffer, which
-        # turns undecodable bytes into lone surrogates
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
-            io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
-        arg, name = "-", "stdin"
+        return str(path)
+    # stdin as the interpreter opens it: text over a byte buffer, which
+    # turns undecodable bytes into lone surrogates
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
+    return "-"
+
+
+@pytest.mark.parametrize("command", ["invert", "classify"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_non_utf8_input_exit_2(capsys, monkeypatch, tmp_path, command, source):
+    arg = _feed(monkeypatch, tmp_path, source, b"ring q n=1\n\xff\n")
+    name = "stdin" if arg == "-" else arg
     rc, out, err = run(capsys, command, "--in", arg)
     assert rc == 2 and out == ""
     assert err == f"error: {name} is not UTF-8 text: byte 0xff at offset 11\n"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_leading_byte_order_mark_is_dropped(capsys, monkeypatch, tmp_path, source):
+    body = b"ring qi n=2\n1 1i\n0 2\n"
+    plain = run(capsys, "invert", "--in", _feed(monkeypatch, tmp_path, source, body))
+    marked = run(capsys, "invert",
+                 "--in", _feed(monkeypatch, tmp_path, source, b"\xef\xbb\xbf" + body))
+    assert plain[0] == 0 and plain[1]
+    assert marked == plain
+    # a mark anywhere else is not text the grammar accepts
+    rc, out, err = run(capsys, "invert", "--in", _feed(
+        monkeypatch, tmp_path, source, b"ring q n=1\n\xef\xbb\xbf2\n"))
+    assert rc == 2 and out == "" and err.startswith("error: ")
+    # offsets of bad bytes still count the leading mark
+    rc, _, err = run(capsys, "invert", "--in", _feed(
+        monkeypatch, tmp_path, source, b"\xef\xbb\xbfring q n=1\n\xff\n"))
+    assert rc == 2 and err.endswith("byte 0xff at offset 14\n")
 
 
 # -- classify ----------------------------------------------------------------------
@@ -256,6 +278,34 @@ def test_constructed_over_large_field_exit_2(capsys, command, kind):
     assert time.perf_counter() - t0 < 5
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and "budget" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "enumerate"])
+@pytest.mark.parametrize("mode", [["--random"], ["--constructed", "sep"]])
+def test_count_above_budget_exit_2(capsys, monkeypatch, command, mode):
+    built = []
+    init = Matrix.__init__
+
+    def counted_init(self, field, rows):
+        built.append(None)
+        init(self, field, rows)
+
+    monkeypatch.setattr(Matrix, "__init__", counted_init)
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, command, "--ring", "q", "--dim", "2", *mode,
+                       "--count", "1000001", "--seed", "1")
+    assert time.perf_counter() - t0 < 1
+    assert rc == 2 and out == "" and "1000001" in err and "budget" in err
+    assert built == []  # refused before any element was drawn
+
+
+def test_dim_zero_is_out_of_range_not_missing(capsys):
+    rc, _, err = run(capsys, "verify", "--ring", "q", "--dim", "0",
+                     "--random", "--seed", "1", "--count", "3")
+    assert rc == 2 and err == "error: dimension 0 outside 1..6\n"
+    rc, _, err = run(capsys, "verify", "--ring", "q", "--random", "--seed", "1",
+                     "--count", "3")
+    assert rc == 2 and err == "error: --dim is required\n"
 
 
 def test_verify_counterexample_exit_1(capsys, monkeypatch):

@@ -51,6 +51,29 @@ def test_exhaustive_is_lexicographic():
     assert elems[-1].to_tokens() == [["1", "1"], ["1", "1"]]
 
 
+def _index_digit_element(field, dim, index):
+    """Element number `index` read as dim^2 base-q digits, entry (0,0) the
+    most significant: the reference decoding of the exhaustive order."""
+    q = field.size()
+    digits = []
+    for _ in range(dim * dim):
+        index, d = divmod(index, q)
+        digits.append(d)
+    digits.reverse()
+    scalars = [field.element_at(d) for d in digits]
+    return Matrix(field, [scalars[i * dim:(i + 1) * dim] for i in range(dim)])
+
+
+@pytest.mark.parametrize("field,dim", [(F2, 1), (F2, 2), (F3, 1), (F3, 2),
+                                       (F4, 1), (F4, 2), (F2, 3)])
+def test_exhaustive_order_matches_index_digits(field, dim):
+    elems = list(generate(GeneratorSpec(Mode.EXHAUSTIVE, field, dim)))
+    total = field.size() ** (dim * dim)
+    assert elems == [_index_digit_element(field, dim, k) for k in range(total)]
+    # the stream's matrices share one scalar object per field element
+    assert len({id(e) for m in elems for row in m.rows for e in row}) == field.size()
+
+
 def test_exhaustive_budget():
     with pytest.raises(BudgetExceededError):
         GeneratorSpec(Mode.EXHAUSTIVE, F5, 3).validate()  # 5^9 > 10^6
@@ -72,6 +95,15 @@ def test_constructed_budget_refuses_large_fields(mode):
     GeneratorSpec(mode, prime_field(999983), 2, sample_count=1, seed=1).validate()
     random_spec = GeneratorSpec(Mode.RANDOM, big, 2, sample_count=3, seed=1)
     assert len(list(generate(random_spec))) == 3
+
+
+def test_sample_count_budget():
+    # a sweep holds its whole stream in memory
+    with pytest.raises(BudgetExceededError, match="budget"):
+        GeneratorSpec(Mode.RANDOM, RATIONAL, 6, 10**12, 1).validate()
+    with pytest.raises(BudgetExceededError):
+        GeneratorSpec(Mode.CONSTRUCTED_SEP, GAUSSIAN, 2, EXHAUSTIVE_BUDGET + 1, 1).validate()
+    GeneratorSpec(Mode.RANDOM, RATIONAL, 6, EXHAUSTIVE_BUDGET, 1).validate()
 
 
 def test_invalid_specs():
@@ -351,6 +383,35 @@ def test_threads_sweep_concurrently():
     assert not _memo_is_open(a)  # no thread's memo leaked into this one
 
 
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(Mode.EXHAUSTIVE, F2, 2),
+    GeneratorSpec(Mode.RANDOM, RATIONAL, 2, sample_count=20, seed=7),
+], ids=["exhaustive-f2", "random-q"])
+def test_one_memo_per_element_holds_its_l31_pairs(spec, monkeypatch):
+    opened = []
+    open_memo = harness_mod.product_memo
+    check = harness_mod.check_left_right_duality
+
+    def counted_memo():
+        opened.append(None)
+        return open_memo()
+
+    e_memos = []  # for each L3.1 check, the number of the memo it ran in
+
+    def duality(e, a):
+        assert _memo_is_open(e)
+        e_memos.append(len(opened) - 1)
+        return check(e, a)
+
+    monkeypatch.setattr(harness_mod, "product_memo", counted_memo)
+    monkeypatch.setattr(harness_mod, "check_left_right_duality", duality)
+    report = sweep(spec, "all")
+    assert len(opened) == report.totals["generated"]
+    # each pair runs in the memo of its e's element, in stream order
+    pairs = harness_mod._l31_pairs(spec, report.totals["generated"])
+    assert e_memos == sorted(i for i, _ in pairs)
+
+
 def test_memo_recalls_differences_and_negations():
     a = Matrix.from_ints(F3, [[1, 2], [0, 1]])
     b = Matrix.from_ints(F3, [[2, 2], [1, 0]])
@@ -385,12 +446,12 @@ def test_l31_products_taken_once_per_e_and_pair(monkeypatch):
     monkeypatch.setattr(harness_mod, "check_left_right_duality", duality)
     monkeypatch.setattr(Matrix, "_product", product)
     assert sweep(spec, ["X1"]).lemmas["L3.1"]["checked"] == 400
-    # e e once per e; a e, (a - e)^2 and (a - e) a once per distinct pair,
-    # except that a e is e e on a pair (e, e)
-    es = {i for i, _ in pairs}
+    # a e, (a - e)^2 and (a - e) a once per distinct pair, except that a e
+    # is e e on a pair (e, e); e e itself costs nothing, as X1 took it in
+    # e's memo before its pairs ran
     diagonal = sum(i == j for i, j in pairs)
     assert diagonal > 0
-    assert products[0] == len(es) + 3 * len(pairs) - diagonal
+    assert products[0] == 3 * len(pairs) - diagonal == 723
 
 
 def test_scalar_pools_built_once_per_stream(monkeypatch):
