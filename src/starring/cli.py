@@ -180,7 +180,6 @@ def cmd_verify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     spec = _build_spec(args)
-    spec.validate()
     elements = list(generate(spec))
     if args.format == "json":
         payload = {

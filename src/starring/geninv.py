@@ -120,13 +120,6 @@ class InverseBundle:
         return f"<bundle {self.a!r} [{' '.join(tags) or 'plain'}]>"
 
 
-#: Names of the eight elements derivable from a group-and-MP-invertible a.
-DERIVED_NAMES = (
-    "a", "group", "mp", "star", "mp_star", "group_star",
-    "mp_of_group", "group_of_mp",
-)
-
-
 def derived_elements(b: InverseBundle) -> dict[str, Matrix]:
     """The eight named elements built from a, its inverses, and their adjoints.
 

@@ -6,9 +6,10 @@ two factors of a full-rank factorization.  All operations are pure and
 matrices are immutable, so values can be shared freely.
 
 Inside a `product_memo()` block, products, differences, negations and
-adjoints are remembered by the identity of their operands, so asking again
-for one returns the stored result; the results are the same values as
-without the memo.  A sweep opens one such block per element.
+adjoints are remembered by the value of their operands, so asking again for
+one, on the same or on equal matrices, returns the stored result; the
+results are the same values as without the memo.  A sweep opens one such
+block per element.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
-from .starfield import FieldDescriptor, FieldMismatchError, Scalar, parse_ring_header
+from .starfield import (FieldDescriptor, FieldMismatchError, Scalar, ScalarParseError,
+                        parse_ring_header)
 
 # Exhaustive finite-ring runs and exact rational growth stay at desk scale.
 MAX_DIMENSION = 6
@@ -34,7 +36,7 @@ class MatrixParseError(ValueError):
 class Matrix:
     """An immutable rows-of-scalars grid over a single field."""
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "rows", "_hash")
 
     def __init__(self, field: FieldDescriptor, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -51,6 +53,7 @@ class Matrix:
                     raise FieldMismatchError("entry from a different field")
         self.field = field
         self.rows = rows
+        self._hash = None
 
     # -- constructors -------------------------------------------------------
 
@@ -93,10 +96,6 @@ class Matrix:
             raise ShapeError("not a square matrix")
         return self.nrows
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -107,8 +106,12 @@ class Matrix:
     def __hash__(self):
         # the raw values alone (Fractions, ints or tuples of ints): __eq__
         # also asks for the same field, and hashing the Scalar wrappers and
-        # their field costs a call per entry
-        return hash(tuple(e.value for row in self.rows for e in row))
+        # their field costs a call per entry.  Kept in a slot on first use,
+        # since the product memo keys on matrices by value and hashes each
+        # operand at every lookup.
+        if self._hash is None:
+            self._hash = hash(tuple(e.value for row in self.rows for e in row))
+        return self._hash
 
     def __repr__(self):
         body = "; ".join(" ".join(e.token() for e in row) for row in self.rows)
@@ -131,7 +134,7 @@ class Matrix:
                                    for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return _recall(("-", id(self), id(other)), (self, other), Matrix._difference)
+        return _recall(("-", self, other), Matrix._difference, self, other)
 
     def _difference(self, other: "Matrix") -> "Matrix":
         self._check(other)
@@ -139,13 +142,13 @@ class Matrix:
                                    for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "Matrix":
-        return _recall(("-", id(self)), (self,), Matrix._negation)
+        return _recall(("-", self), Matrix._negation, self)
 
     def _negation(self) -> "Matrix":
         return Matrix(self.field, [[-a for a in row] for row in self.rows])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        return _recall((id(self), id(other)), (self, other), Matrix._product)
+        return _recall((self, other), Matrix._product, self, other)
 
     def _product(self, other: "Matrix") -> "Matrix":
         self._check(other, same_shape=False)
@@ -176,7 +179,7 @@ class Matrix:
 
     def star(self) -> "Matrix":
         """Conjugate transpose, the ring involution."""
-        return _recall(id(self), (self,), Matrix._adjoint)
+        return _recall(self, Matrix._adjoint, self)
 
     def _adjoint(self) -> "Matrix":
         return Matrix(self.field, [[self.rows[j][i].star() for j in range(self.nrows)]
@@ -235,43 +238,34 @@ class Matrix:
         return [[e.token() for e in row] for row in self.rows]
 
 
-# The open memo of this context as (results, values): results maps an
-# operation and its operands' ids to (operands, result), holding the operands
-# alive so that no other object can take their ids while the memo is open;
-# values holds each distinct result once.  One memo per context, so threads
-# sweeping at once do not share one.
-_MEMO: ContextVar[tuple[dict, dict] | None] = ContextVar("starring_product_memo",
-                                                         default=None)
+# The open memo of this context: one dict from an operation and its operands,
+# by value, to the result.  A product is keyed (x, y), an adjoint x alone, a
+# difference ("-", x, y) and a negation ("-", x), so no two kinds share a key.
+# One memo per context, so threads sweeping at once do not share one.
+_MEMO: ContextVar[dict | None] = ContextVar("starring_product_memo", default=None)
 
 
-def _recall(key, operands, compute):
-    """compute(*operands), or inside a memo block the result stored under key.
-
-    Each new result is first replaced by the stored one of equal value, if
-    any, so equal products reached by different expressions become one
-    object and the products taken on them later hit.
-    """
+def _recall(key, compute, *operands):
+    """compute(*operands), or inside a memo block the result stored under key."""
     memo = _MEMO.get()
     if memo is None:
         return compute(*operands)
-    results, values = memo
-    hit = results.get(key)
-    if hit is None:
-        result = compute(*operands)
-        hit = results[key] = (operands, values.setdefault(result, result))
-    return hit[1]
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = compute(*operands)
+    return result
 
 
 @contextmanager
 def product_memo():
     """Remember every product, difference, negation and adjoint taken in the
-    block, until it exits.
+    block, by the value of its operands, until it exits.
 
-    The memo holds each distinct result of the block, so it suits a block of
-    work on one element, as a sweep opens for each element it draws; blocks
-    nest, the inner one starting empty.
+    The memo holds each distinct operation of the block and its result, so it
+    suits a block of work on one element, as a sweep opens for each element
+    it draws; blocks nest, the inner one starting empty.
     """
-    token = _MEMO.set(({}, {}))
+    token = _MEMO.set({})
     try:
         yield
     finally:
@@ -333,11 +327,14 @@ def parse_matrix(text: str) -> Matrix:
     if len(body) != n:
         raise MatrixParseError(f"expected {n} rows, got {len(body)}")
     rows = []
-    for ln in body:
+    for i, ln in enumerate(body, 1):
         tokens = ln.split()
         if len(tokens) != n:
-            raise MatrixParseError(f"expected {n} entries per row, got {len(tokens)}")
-        rows.append([field.parse(t) for t in tokens])
+            raise MatrixParseError(f"row {i}: expected {n} entries, got {len(tokens)}")
+        try:
+            rows.append([field.parse(t) for t in tokens])
+        except ScalarParseError as exc:
+            raise MatrixParseError(f"row {i}: {exc}") from None
     return Matrix(field, rows)
 
 

@@ -206,7 +206,8 @@ class FieldDescriptor:
         except ZeroDivisionError:
             raise ScalarParseError(f"zero denominator in {token!r}") from None
         except ScalarParseError:
-            raise
+            # repr shows what the eye cannot, such as a byte-order mark
+            raise ScalarParseError(f"not a scalar over {self.name}: {token!r}") from None
         except ValueError as exc:
             # int() and Fraction() refuse tokens past the interpreter's
             # integer-string digit limit

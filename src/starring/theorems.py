@@ -73,8 +73,8 @@ class TheoremCase:
 
 # -- shared bundle products ----------------------------------------------------
 # Inside a sweep every product below is computed once per element by the
-# product memo; only what is built from more than a product, difference,
-# negation or adjoint is cached on b.
+# product memo, which keys on its operands by value; only what is built from
+# more than a product, difference, negation or adjoint is cached on b.
 
 def _skew(b):
     """a (a^#)* a^+, the recurring left side of the core identity X1."""
@@ -106,11 +106,6 @@ _MEMBER_MP = {
 }
 
 
-def _member_mp(b, name: str):
-    """MP inverse of the derived member `name`, from _MEMBER_MP."""
-    return _MEMBER_MP[name](b)
-
-
 # members x with x x^+ = a a^+ (resp. x x^+ = a^+ a) among the derived six
 _RANGE_MATES_OF_A = ("a", "group", "mp_star")
 _RANGE_MATES_OF_ADJOINT = ("mp", "star", "group_star")
@@ -120,11 +115,11 @@ _CORE_SIX = ("a", "group", "mp", "star", "mp_star", "group_star")
 def _exists_projection_witness(b, members, build) -> bool:
     """Whether build(x, x^+) is a projection for some x among the named
     derived members; every one of them has an MP inverse, given by
-    _member_mp.  Inside the sweep's product memo the x x^+ (and x^+ x) of
-    range mates are one object, so the products built on them are taken
-    once."""
+    _MEMBER_MP.  Range mates share one x x^+ (or x^+ x) by value, and the
+    sweep's product memo keys on operands by value, so the products built
+    on it are taken once."""
     elems = derived_elements(b)
-    return any(is_projection(build(elems[name], _member_mp(b, name)))
+    return any(is_projection(build(elems[name], _MEMBER_MP[name](b)))
                for name in members)
 
 

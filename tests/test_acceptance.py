@@ -33,6 +33,24 @@ EXPECTED_SIZES = {"exhaustive-f2-dim2": 16, "exhaustive-f3-dim2": 81,
                   "exhaustive-f4-dim2": 256}
 RANDOM_SPECS = {name: spec for name, spec in BATTERY.items()
                 if spec.mode is Mode.RANDOM}
+# VerificationReport.digest() of each battery report swept below: the
+# sha256 without the wallTime line that scripts/run_verification.py prints
+BATTERY_DIGESTS = {
+    "exhaustive-f2-dim2":
+        "d78d4dff88869ffc40e105e4f9037cdcb62daf475c106d20337e157d387c6e56",
+    "exhaustive-f3-dim2":
+        "8e83bd521900293b5da6c38bc6fb20623ee7264dfe7814ff7ff367c3b4eee4ca",
+    "exhaustive-f4-dim2":
+        "bba9a77a085bc5188bd48ffd5d7d5ac21a068191315cb8a38fc23a82d9839576",
+    "random-q-dim2":
+        "8369d482f3a0d005087e3009307a07e5b01df3ef09d6a7b3e67a3b3fb5e778c9",
+    "random-q-dim3":
+        "e315fe83dd52625545cb38aa880b553641df08aec79744efd71e509f4f6ad22e",
+    "random-qi-dim2":
+        "1d9620b916617e92553c96f7b159a65d8dd66f760636cb26f552730c91db334d",
+    "random-qi-dim3":
+        "41c3b86d63130ea4c18f1865c25fc8e1832473f77b25c80cf022f76691755e57",
+}
 SEP_SPEC = BATTERY["constructed-sep-qi-dim3"]
 EP_SPEC = BATTERY["constructed-ep-qi-dim3"]
 
@@ -101,6 +119,11 @@ def test_criterion_2_randomized_rational_soundness(random_runs):
         ok = True
     finally:
         _report(2, "randomized rational/Gaussian soundness", ok)
+
+
+def test_battery_report_bytes(exhaustive_runs, random_runs):
+    reports = {**exhaustive_runs[0], **random_runs[0]}
+    assert {name: r.digest() for name, r in reports.items()} == BATTERY_DIGESTS
 
 
 def test_criterion_3_forward_and_backward_direction(constructed_bundles):

@@ -189,10 +189,12 @@ def test_leading_byte_order_mark_is_dropped(capsys, monkeypatch, tmp_path, sourc
                  "--in", _feed(monkeypatch, tmp_path, source, b"\xef\xbb\xbf" + body))
     assert plain[0] == 0 and plain[1]
     assert marked == plain
-    # a mark anywhere else is not text the grammar accepts
+    # a mark anywhere else is not text the grammar accepts; the message
+    # names its row and shows the invisible mark
     rc, out, err = run(capsys, "invert", "--in", _feed(
         monkeypatch, tmp_path, source, b"ring q n=1\n\xef\xbb\xbf2\n"))
-    assert rc == 2 and out == "" and err.startswith("error: ")
+    assert rc == 2 and out == ""
+    assert err == "error: row 1: not a scalar over Q: '\\ufeff2'\n"
     # offsets of bad bytes still count the leading mark
     rc, _, err = run(capsys, "invert", "--in", _feed(
         monkeypatch, tmp_path, source, b"\xef\xbb\xbfring q n=1\n\xff\n"))

@@ -425,6 +425,44 @@ def test_memo_recalls_differences_and_negations():
         assert first == second and first is not second
 
 
+def test_memo_recalls_equal_operands_by_value(monkeypatch):
+    multiply = Matrix._product
+    products = []
+
+    def product(self, other):
+        products.append((self, other))
+        return multiply(self, other)
+
+    monkeypatch.setattr(Matrix, "_product", product)
+    x1 = Matrix.from_ints(F3, [[1, 2], [0, 1]])
+    x2 = Matrix.from_ints(F3, [[1, 2], [0, 1]])
+    y = Matrix.from_ints(F3, [[2, 2], [1, 0]])
+    assert x1 == x2 and x1 is not x2
+    with product_memo():
+        assert x1 * y is x2 * y
+        assert x1.star() is x2.star() and -x1 is -x2 and x1 - y is x2 - y
+    assert products == [(x1, y)]
+
+
+def test_memo_keeps_fields_and_operations_apart():
+    # Fraction(k) and the int k hash alike, so these two matrices do too
+    q = Matrix.from_ints(RATIONAL, [[1, 2], [0, 1]])
+    f3 = Matrix.from_ints(F3, [[1, 2], [0, 1]])
+    assert hash(q) == hash(f3) and q != f3
+
+    def results():
+        return [op(m) for m in (q, f3) for op in (
+            lambda m: m * m, Matrix.star, Matrix.__neg__, lambda m: m - m)]
+
+    plain = results()
+    with product_memo():
+        memoized = results()
+    assert memoized == plain
+    assert [m.field for m in memoized] == [RATIONAL] * 4 + [F3] * 4
+    assert memoized[0] == Matrix.from_ints(RATIONAL, [[1, 4], [0, 1]])
+    assert memoized[4] == Matrix.from_ints(F3, [[1, 1], [0, 1]])
+
+
 def test_l31_products_taken_once_per_e_and_pair(monkeypatch):
     spec = GeneratorSpec(Mode.RANDOM, RATIONAL, 2, sample_count=20, seed=7)
     pairs = set(harness_mod._l31_pairs(spec, 20))

@@ -9,11 +9,11 @@ from starring.matrix import Matrix
 from starring.starfield import GAUSSIAN, RATIONAL, prime_field, quad_ext_field
 from starring.theorems import (
     _CORE_SIX,
+    _MEMBER_MP,
     Kind,
     Verdict,
     check_left_right_duality,
     check_projection_sandwich,
-    _member_mp,
     evaluate,
     registry,
     registry_map,
@@ -234,7 +234,7 @@ def test_member_mp_closed_forms_match_direct_inverse(spec):
             continue
         elems = derived_elements(b)
         for name in _CORE_SIX:
-            x, x_mp = elems[name], _member_mp(b, name)
+            x, x_mp = elems[name], _MEMBER_MP[name](b)
             assert x_mp == mp_inverse(x), (name, m)
             assert all(verify_penrose(x, x_mp)), (name, m)
         checked += 1
