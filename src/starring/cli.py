@@ -161,6 +161,16 @@ def _verify_text(report) -> str:
         extra = f" vacuous {lt['vacuous']:<6}" if "vacuous" in lt else ""
         lines.append(f"{lid:<7} checked {lt['checked']:<6}{extra} "
                      f"violations {len(lt['violations'])}")
+    l28 = report.lemmas["L2.8"]
+    nonvacuous = l28["checked"] - l28["vacuous"]
+    lines.append(f"evidence: sep elements {t['sep']} | L2.8 non-vacuous {nonvacuous} "
+                 f"of {l28['checked']} | L3.1 pairs {report.lemmas['L3.1']['checked']}")
+    if t["sep"] == 0:
+        lines.append("warning: no strongly-EP element in the stream: no entry was "
+                     "checked in the direction sep => condition")
+    if nonvacuous == 0:
+        lines.append(f"warning: L2.8 gathered zero evidence ({l28['checked']} checks, "
+                     "none non-vacuous)")
     n = report.counterexample_count()
     lines.append("counterexamples: none" if n == 0 else f"counterexamples: {n}")
     lines.append(f"wall time: {report.wall_time}s")

@@ -55,6 +55,14 @@ class Matrix:
         self.rows = rows
         self._hash = None
 
+    @classmethod
+    def _unchecked(cls, field: FieldDescriptor, rows: tuple) -> "Matrix":
+        # rows that already pass __init__'s checks: a non-empty tuple of
+        # equal-length, non-empty tuples within the cap, of scalars of field
+        m = object.__new__(cls)
+        m.field, m.rows, m._hash = field, rows, None
+        return m
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -154,17 +162,9 @@ class Matrix:
         self._check(other, same_shape=False)
         if self.ncols != other.nrows:
             raise ShapeError(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        cols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = row[0] * col[0]
-                for a, b in zip(row[1:], col[1:]):
-                    acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(self.field, out)
+        dot, cols = self.field.dot, list(zip(*other.rows))
+        return Matrix._unchecked(self.field, tuple([tuple([dot(row, col) for col in cols])
+                                                    for row in self.rows]))
 
     def scale(self, s: Scalar) -> "Matrix":
         return Matrix(self.field, [[s * a for a in row] for row in self.rows])

@@ -9,18 +9,20 @@ Each family is one subclass of `FieldDescriptor` holding all the rules for
 its raw values: `add`, `neg`, `mul`, `inv`, `star`, `is_zero`, `token`,
 `parse_value`, `from_int`, `element_at`, `name` and `size`.  A `Scalar` is a
 descriptor and a raw value; each operator is a field check plus one call
-into the descriptor.  The field also owns the scalars the harness samples:
-`unitary_scalars`, `non_unitary_scalars`, `has_non_unitary_scalar` and
-`random_scalar`.  A finite field walks its elements for the pools and draws
-uniformly; Q and Q(i) keep fixed pools and draw small numerators and
-denominators.  Ring flags (`f32`) and matrix-file ring headers
-(`fp2 3`) are parsed here too.
+into the descriptor.  One rule works on scalars: `dot`, the sum of products
+that is one entry of a matrix product.  The field also owns the scalars the
+harness samples: `unitary_scalars`, `non_unitary_scalars`,
+`has_non_unitary_scalar` and `random_scalar`.  A finite field walks its
+elements for the pools and draws uniformly; Q and Q(i) keep fixed pools and
+draw small numerators and denominators.  Ring flags (`f32`) and matrix-file
+ring headers (`fp2 3`) are parsed here too.
 
 All arithmetic is exact and every value is kept in a canonical form, so
 scalar equality is plain structural equality.  There are no tolerances
 anywhere in this package.  A Q(i) value is one integer triple (p, q, d),
-meaning (p + q*i)/d, reduced by a single gcd per operation; only its token
-text goes through Fraction.
+meaning (p + q*i)/d, reduced by a single gcd per operation; a Q(i) `dot`
+sums its products over one common denominator and reduces once.  Only the
+token text of a Q(i) value goes through Fraction.
 """
 
 from __future__ import annotations
@@ -148,6 +150,14 @@ class FieldDescriptor:
     def size(self) -> int | None:
         """Number of elements, or None for the infinite fields."""
         return None
+
+    def dot(self, xs, ys) -> "Scalar":
+        """The sum of x*y over two equal-length, non-empty sequences of
+        scalars of this field: one entry of a matrix product."""
+        acc = xs[0] * ys[0]
+        for x, y in zip(xs[1:], ys[1:]):
+            acc = acc + x * y
+        return acc
 
     # -- element construction ------------------------------------------------
 
@@ -292,6 +302,22 @@ class GaussianField(FieldDescriptor):
         p, q, m = x
         r, s, n = y
         return _reduced(p * r - q * s, p * s + q * r, m * n)
+
+    def dot(self, xs, ys):
+        # sum of (pr - qs + (ps + qr)i)/(mn) over the common denominator d,
+        # added straight on when mn is already d, and reduced once at the end
+        re, im, d = 0, 0, 1
+        for x, y in zip(xs, ys):
+            p, q, m = x.value
+            r, s, n = y.value
+            e = m * n
+            if e == d:
+                re += p * r - q * s
+                im += p * s + q * r
+            else:
+                re, im = re * e + (p * r - q * s) * d, im * e + (p * s + q * r) * d
+                d *= e
+        return Scalar(self, _reduced(re, im, d))
 
     def inv(self, x):
         # 1/((p + qi)/m) = m(p - qi)/(p^2 + q^2)

@@ -258,6 +258,31 @@ def test_verify_out_file(capsys, tmp_path):
     assert doc["totals"]["bothInvertible"] == 9
 
 
+def test_verify_text_evidence_line(capsys):
+    rc, out, _ = run(capsys, "verify", "--ring", "f2", "--dim", "2", "--exhaustive")
+    assert rc == 0
+    assert ("evidence: sep elements 5 | L2.8 non-vacuous 31 of 44 | L3.1 pairs 256"
+            in out.splitlines())
+    assert "warning:" not in out
+    rc, out, _ = run(capsys, "verify", "--ring", "f2", "--dim", "2", "--exhaustive",
+                     "--format", "json")
+    assert rc == 0 and "evidence" not in out and "warning" not in out
+
+
+def test_verify_text_warns_on_missing_evidence(capsys):
+    # five random M_2(Q) elements: no SEP element, so L2.8 has nothing to check
+    rc, out, _ = run(capsys, "verify", "--ring", "q", "--dim", "2", "--random",
+                     "--seed", "3", "--count", "5")
+    assert rc == 0
+    lines = out.splitlines()
+    at = lines.index("evidence: sep elements 0 | L2.8 non-vacuous 0 of 0 | L3.1 pairs 25")
+    assert lines[at + 1:at + 4] == [
+        "warning: no strongly-EP element in the stream: no entry was checked in the "
+        "direction sep => condition",
+        "warning: L2.8 gathered zero evidence (0 checks, none non-vacuous)",
+        "counterexamples: none"]
+
+
 def test_verify_unknown_entry_exit_2(capsys):
     rc, _, err = run(capsys, "verify", "--ring", "f3", "--dim", "2",
                      "--exhaustive", "--entries", "T9.9")

@@ -203,6 +203,31 @@ def test_rank_product_bound_and_star_antihomomorphism():
 
 # -- shape and field discipline ------------------------------------------------
 
+@pytest.mark.parametrize("field", FAMILIES, ids=lambda f: f.name)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rectangular_product_matches_textbook_sum(field, k):
+    # (n x k)(k x m), k = 1 being the one-term dot of a full-rank factor
+    rng = random.Random(k)
+    for n, m in ((1, 1), (1, 3), (3, 1), (2, 3), (3, 2)):
+        a = Matrix(field, [[rand_scalar(field, rng) for _ in range(k)] for _ in range(n)])
+        b = Matrix(field, [[rand_scalar(field, rng) for _ in range(m)] for _ in range(k)])
+        textbook = [[field.zero() for _ in range(m)] for _ in range(n)]
+        for i in range(n):
+            for j in range(m):
+                for t in range(k):
+                    textbook[i][j] = textbook[i][j] + a.rows[i][t] * b.rows[t][j]
+        built = Matrix(field, textbook)
+        product = a * b
+        assert product == built and hash(product) == hash(built)
+        assert (product.field, product.nrows, product.ncols) == (field, n, m)
+        assert all(type(r) is tuple for r in product.rows)
+    wide = Matrix.zeros(field, k, k + 1)
+    with pytest.raises(ShapeError):
+        wide * wide
+    with pytest.raises(FieldMismatchError):
+        Matrix.identity(field, k) * Matrix.identity(F2 if field is not F2 else F3, k)
+
+
 def test_shape_errors():
     a = Matrix.from_ints(RATIONAL, [[1, 2], [3, 4]])
     b = Matrix.from_ints(RATIONAL, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])

@@ -16,6 +16,7 @@ from starring.starfield import (
     GAUSSIAN,
     PRIME_TEST_LIMIT,
     RATIONAL,
+    Scalar,
     ScalarParseError,
     is_prime,
     prime_field,
@@ -126,6 +127,53 @@ def test_gaussian_rules_match_fraction_formulas(x, y):
     for s, (re, im) in ((u, x), (u * v, (a * c - b * d, a * d + b * c))):
         assert s.token() == f"{re}{'-' if im < 0 else '+'}{abs(im)}i"
         assert GAUSSIAN.parse(s.token()) == s
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def _dot_operands(draw, field):
+    """Two sequences of 1 to 6 scalars of field, zero terms included.  Q(i)
+    parts reach 10^40, and the denominators of the products x*y are all
+    equal, pairwise different, or free."""
+    k = draw(st.integers(1, 6))
+    if field is not GAUSSIAN:
+        terms = st.lists(st.one_of(st.just(field.zero()), scalars(field)),
+                         min_size=k, max_size=k)
+        return draw(terms), draw(terms)
+    dens = st.integers(1, BIG)
+    shape = draw(st.sampled_from(["equal", "unequal", "free"]))
+    if shape == "equal":
+        xden, yden = [draw(dens)] * k, [draw(dens)] * k
+    elif shape == "unequal":
+        # distinct primes: no product denominator equals the running one
+        xden, yden = draw(st.permutations(_PRIMES))[:k], [1] * k
+    else:
+        xden = draw(st.lists(dens, min_size=k, max_size=k))
+        yden = draw(st.lists(dens, min_size=k, max_size=k))
+
+    def term(d):
+        if draw(st.integers(0, 4)) == 0:
+            return GAUSSIAN.zero()
+        # gcd(p*d + 1, d) = 1, so (p*d + 1, q, d) is canonical with denominator d
+        return Scalar(GAUSSIAN, (draw(st.integers(-BIG, BIG)) * d + 1,
+                                 draw(st.integers(-BIG, BIG)), d))
+
+    return [term(d) for d in xden], [term(d) for d in yden]
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f.name)
+@given(data=st.data())
+def test_dot_matches_pairwise_fold(field, data):
+    xs, ys = data.draw(_dot_operands(field))
+    fold = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        fold = fold + x * y
+    got = field.dot(xs, ys)
+    assert got == fold and got.field is field
+    if field is GAUSSIAN:
+        _parts(got)  # a canonical triple
 
 
 def test_inv_of_zero_raises():
