@@ -10,18 +10,20 @@ its raw values: `add`, `neg`, `mul`, `inv`, `star`, `is_zero`, `token`,
 `parse_value`, `from_int`, `element_at`, `name` and `size`.  A `Scalar` is a
 descriptor and a raw value; each operator is a field check plus one call
 into the descriptor.  One rule works on scalars: `dot`, the sum of products
-that is one entry of a matrix product.  The field also owns the scalars the
-harness samples: `unitary_scalars`, `non_unitary_scalars`,
-`has_non_unitary_scalar` and `random_scalar`.  A finite field walks its
-elements for the pools and draws uniformly; Q and Q(i) keep fixed pools and
-draw small numerators and denominators.  Ring flags (`f32`) and matrix-file
-ring headers (`fp2 3`) are parsed here too.
+that is one entry of a matrix product; Q(i), F_p and F_{p^2} compute it on
+the raw values, and Q folds it with the `Scalar` operators.  The field also
+owns the scalars the harness samples: `unitary_scalars`,
+`non_unitary_scalars`, `has_non_unitary_scalar` and `random_scalar`.  A
+finite field walks its elements for the pools and draws uniformly; Q and
+Q(i) keep fixed pools and draw small numerators and denominators.  Ring
+flags (`f32`) and matrix-file ring headers (`fp2 3`) are parsed here too.
 
 All arithmetic is exact and every value is kept in a canonical form, so
 scalar equality is plain structural equality.  There are no tolerances
 anywhere in this package.  A Q(i) value is one integer triple (p, q, d),
 meaning (p + q*i)/d, reduced by a single gcd per operation; a Q(i) `dot`
-sums its products over one common denominator and reduces once.  Only the
+sums its products over one common denominator and reduces once, and an F_p
+or F_{p^2} `dot` sums on the integers and reduces mod p once.  Only the
 token text of a Q(i) value goes through Fraction.
 """
 
@@ -153,7 +155,11 @@ class FieldDescriptor:
 
     def dot(self, xs, ys) -> "Scalar":
         """The sum of x*y over two equal-length, non-empty sequences of
-        scalars of this field: one entry of a matrix product."""
+        scalars of this field: one entry of a matrix product.
+
+        Q(i), F_p and F_{p^2} override it to sum on their raw values and
+        reduce once; this fold of `Scalar` products and sums serves Q alone.
+        """
         acc = xs[0] * ys[0]
         for x, y in zip(xs[1:], ys[1:]):
             acc = acc + x * y
@@ -396,6 +402,13 @@ class PrimeField(FieldDescriptor):
     def mul(self, x, y):
         return x * y % self.p
 
+    def dot(self, xs, ys):
+        # the products summed on the integers and reduced once
+        acc = 0
+        for x, y in zip(xs, ys):
+            acc += x.value * y.value
+        return Scalar(self, acc % self.p)
+
     def inv(self, x):
         return pow(x, self.p - 2, self.p)
 
@@ -444,6 +457,19 @@ class QuadExtField(FieldDescriptor):
         (a, b), (c, d) = x, y
         p, bd = self.p, b * d
         return ((a * c - self.ext_c * bd) % p, (a * d + b * c - self.ext_b * bd) % p)
+
+    def dot(self, xs, ys):
+        # the sum of (a + b*w)(c + d*w) is sum(ac) - ext_c*sum(bd) plus
+        # (sum(ad + bc) - ext_b*sum(bd))*w: three integer sums, reduced once
+        ac = bd = cross = 0
+        for x, y in zip(xs, ys):
+            a, b = x.value
+            c, d = y.value
+            ac += a * c
+            bd += b * d
+            cross += a * d + b * c
+        p = self.p
+        return Scalar(self, ((ac - self.ext_c * bd) % p, (cross - self.ext_b * bd) % p))
 
     def inv(self, x):
         # Norm s * star(s) = a^2 - ext_b*a*b + ext_c*b^2 lies in the prime

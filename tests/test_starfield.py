@@ -163,7 +163,13 @@ def _dot_operands(draw, field):
     return [term(d) for d in xden], [term(d) for d in yden]
 
 
-@pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f.name)
+# F_2, and fields whose residues reach 2^61 and 2^64, so that the one
+# reduction at the end of a finite-field dot sees sums far beyond p.  Over
+# F_{2^64 - 59}^2 the modulus is w^2 + 2 (ext_c = 2, ext_b = 0); F_4 has ext_b = 1.
+DOT_FIELDS = ALL_FIELDS + [F2, prime_field(2**61 - 1), quad_ext_field(2**64 - 59)]
+
+
+@pytest.mark.parametrize("field", DOT_FIELDS, ids=lambda f: f.name)
 @given(data=st.data())
 def test_dot_matches_pairwise_fold(field, data):
     xs, ys = data.draw(_dot_operands(field))
