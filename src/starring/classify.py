@@ -2,7 +2,10 @@
 
 The class predicates consume an InverseBundle rather than computing inverses
 themselves, so existence failures surface in exactly one place (the harness
-filter).  All tests are exact equalities of canonical forms.
+filter).  All tests are exact equalities of canonical forms.  The relation
+predicates and `is_projection` compare products through `products_equal`,
+so a product that is only compared is read entry by entry up to the first
+that differs, never built.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geninv import InverseBundle
-from .matrix import Matrix
+from .matrix import Matrix, products_equal
 
 
 @dataclass(frozen=True)
@@ -35,12 +38,13 @@ def is_projection(e: Matrix) -> bool:
 
     The one-sided forms e = e e* and e = e* e are each equivalent to the
     definition; all three are evaluated and must agree, as an internal
-    consistency check on the involution.
+    consistency check on the involution.  The definition tests e* = e, which
+    takes no product, before e e = e.
     """
     e_star = e.star()
-    direct = e * e == e and e_star == e
-    via_right = e == e * e_star
-    via_left = e == e_star * e
+    direct = e_star == e and products_equal((e, e), e)
+    via_right = products_equal(e, (e, e_star))
+    via_left = products_equal(e, (e_star, e))
     if not (direct == via_right == via_left):
         raise AssertionError(f"projection characterizations disagree on {e!r}")
     return direct
@@ -87,19 +91,19 @@ def classify(b: InverseBundle) -> Classification:
 
 def is_left_idempotent_for(e: Matrix, a: Matrix) -> bool:
     """e^2 = a e."""
-    return e * e == a * e
+    return products_equal((e, e), (a, e))
 
 
 def is_right_idempotent_for(e: Matrix, a: Matrix) -> bool:
     """e^2 = e a."""
-    return e * e == e * a
+    return products_equal((e, e), (e, a))
 
 
 def are_left_equivalent_for(b: Matrix, c: Matrix, a: Matrix) -> bool:
     """a b = a c."""
-    return a * b == a * c
+    return products_equal((a, b), (a, c))
 
 
 def are_right_equivalent_for(b: Matrix, c: Matrix, a: Matrix) -> bool:
     """b a = c a."""
-    return b * a == c * a
+    return products_equal((b, a), (c, a))

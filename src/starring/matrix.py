@@ -5,11 +5,15 @@ public ring interface is square-only; rectangular shapes appear solely as the
 two factors of a full-rank factorization.  All operations are pure and
 matrices are immutable, so values can be shared freely.
 
-Inside a `product_memo()` block, products, differences, negations and
-adjoints are remembered by the value of their operands, so asking again for
-one, on the same or on equal matrices, returns the stored result; the
-results are the same values as without the memo.  A sweep opens one such
+Inside a `product_memo()` block, products, differences, negations, adjoints
+and row reductions are remembered by the value of their operands, so asking
+again for one, on the same or on equal matrices, returns the stored result;
+the results are the same values as without the memo.  A sweep opens one such
 block per element.
+
+A product that is only compared is not built: `products_equal` decides an
+equality of products entry by entry and stops at the first entry that
+differs.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter, eq
 
 from .starfield import (FieldDescriptor, FieldMismatchError, Scalar, ScalarParseError,
                         parse_ring_header)
@@ -159,12 +165,18 @@ class Matrix:
         return _recall((self, other), Matrix._product, self, other)
 
     def _product(self, other: "Matrix") -> "Matrix":
-        self._check(other, same_shape=False)
-        if self.ncols != other.nrows:
-            raise ShapeError(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        dot, cols = self.field.dot, list(zip(*other.rows))
+        dot, cols = self._factors(other)
         return Matrix._unchecked(self.field, tuple([tuple([dot(row, col) for col in cols])
                                                     for row in self.rows]))
+
+    def _factors(self, other: "Matrix"):
+        """The entry rule and the columns of other for the product self other:
+        entry (i, j) is dot(self.rows[i], cols[j]).  Raises what the product
+        raises on operands of different fields or unmatched shapes."""
+        self._check(other, same_shape=False)
+        if len(self.rows[0]) != len(other.rows):
+            raise ShapeError(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
+        return self.field.dot, list(zip(*other.rows))
 
     def scale(self, s: Scalar) -> "Matrix":
         return Matrix(self.field, [[s * a for a in row] for row in self.rows])
@@ -189,6 +201,9 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
         """Reduced row echelon form, rank and pivot columns, by exact Gauss-Jordan."""
+        return _recall(("rref", self), Matrix._reduction, self)
+
+    def _reduction(self) -> tuple["Matrix", int, tuple[int, ...]]:
         rows = [list(r) for r in self.rows]
         pivots = _gauss_jordan(rows, self.ncols)
         return Matrix(self.field, rows), len(pivots), tuple(pivots)
@@ -240,8 +255,9 @@ class Matrix:
 
 # The open memo of this context: one dict from an operation and its operands,
 # by value, to the result.  A product is keyed (x, y), an adjoint x alone, a
-# difference ("-", x, y) and a negation ("-", x), so no two kinds share a key.
-# One memo per context, so threads sweeping at once do not share one.
+# difference ("-", x, y), a negation ("-", x) and a row reduction
+# ("rref", x), so no two kinds share a key.  One memo per context, so threads
+# sweeping at once do not share one.
 _MEMO: ContextVar[dict | None] = ContextVar("starring_product_memo", default=None)
 
 
@@ -256,10 +272,49 @@ def _recall(key, compute, *operands):
     return result
 
 
+_VALUE = attrgetter("value")
+
+
+def products_equal(lhs, rhs) -> bool:
+    """lhs == rhs, where each side is a Matrix or a pair (x, y) standing for
+    the product x y, without building a product that is only compared.
+
+    The entries are compared in row order and the first that differs
+    decides.  A product the open memo holds is read from it; any other is
+    computed one entry at a time by the rule of `x * y`, up to that entry.
+    A pair raises what x * y raises on different fields or unmatched shapes;
+    sides of different fields or shapes are unequal, as for `==`.
+    """
+    field, shape, left = _entries(lhs)
+    other_field, other_shape, right = _entries(rhs)
+    if field is not other_field or shape != other_shape:
+        return False
+    # equal shapes, so map reads every entry of both sides; one field, so
+    # entries are equal exactly when their values are
+    return all(map(eq, map(_VALUE, left), map(_VALUE, right)))
+
+
+def _entries(side):
+    """The field, shape and row-order entries of a Matrix or of a pair's
+    product; a product not in the open memo is computed as it is read."""
+    if not isinstance(side, Matrix):
+        x, y = side
+        memo = _MEMO.get()
+        side = memo.get((x, y)) if memo is not None else None
+        if side is None:
+            dot, cols = x._factors(y)
+            rows = x.rows
+            return (x.field, (len(rows), len(cols)),
+                    map(dot, [row for row in rows for _ in cols], cols * len(rows)))
+    rows = side.rows
+    return side.field, (len(rows), len(rows[0])), chain.from_iterable(rows)
+
+
 @contextmanager
 def product_memo():
-    """Remember every product, difference, negation and adjoint taken in the
-    block, by the value of its operands, until it exits.
+    """Remember every product, difference, negation, adjoint and row
+    reduction taken in the block, by the value of its operands, until it
+    exits.
 
     The memo holds each distinct operation of the block and its result, so it
     suits a block of work on one element, as a sweep opens for each element

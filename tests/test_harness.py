@@ -11,7 +11,8 @@ import pytest
 import starring.harness as harness_mod
 import starring.theorems as theorems_mod
 from starring.classify import classify
-from starring.geninv import InverseBundle, verify_group, verify_penrose
+from starring.geninv import (InverseBundle, group_inverse, mp_inverse, verify_group,
+                             verify_penrose)
 from starring.harness import (
     EXHAUSTIVE_BUDGET,
     BudgetExceededError,
@@ -26,8 +27,8 @@ from starring.harness import (
     sweep,
 )
 from starring.matrix import Matrix, product_memo
-from starring.starfield import GAUSSIAN, RATIONAL, prime_field, quad_ext_field
-from starring.theorems import Kind, evaluate, registry, registry_map
+from starring.starfield import GAUSSIAN, RATIONAL, FieldDescriptor, prime_field, quad_ext_field
+from starring.theorems import Kind, Verdict, evaluate, registry, registry_map
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -444,6 +445,33 @@ def test_memo_recalls_equal_operands_by_value(monkeypatch):
     assert products == [(x1, y)]
 
 
+def test_memo_recalls_row_reductions(monkeypatch):
+    reduce = Matrix._reduction
+    reductions = []
+
+    def counted(self):
+        reductions.append(self)
+        return reduce(self)
+
+    monkeypatch.setattr(Matrix, "_reduction", counted)
+    a = Matrix.from_ints(F3, [[1, 2], [2, 1]])
+    twin = Matrix.from_ints(F3, [[1, 2], [2, 1]])
+    plain, again = a.rref(), a.rref()
+    # outside a memo nothing is cached: each call reduces afresh
+    assert again == plain and again is not plain and len(reductions) == 2
+    mp_inverse(a), group_inverse(a)
+    assert len(reductions) == 4
+    with product_memo():
+        # both inverses factor a through one reduction, which an equal
+        # matrix shares
+        assert mp_inverse(a) == a and group_inverse(a) == a
+        assert twin.rref() is a.rref() and a.rref() == plain
+        assert len(reductions) == 5
+        assert a.rank() == 1 and Matrix.identity(F3, 2).rank() == 2
+        assert len(reductions) == 6
+    assert a.rref() is not a.rref() and len(reductions) == 8
+
+
 def test_memo_keeps_fields_and_operations_apart():
     # Fraction(k) and the int k hash alike, so these two matrices do too
     q = Matrix.from_ints(RATIONAL, [[1, 2], [0, 1]])
@@ -464,32 +492,48 @@ def test_memo_keeps_fields_and_operations_apart():
 
 
 def test_l31_products_taken_once_per_e_and_pair(monkeypatch):
+    # the four products of an L3.1 pair are only compared, so none is built:
+    # e e is read from e's memo, where X1 took it, and the other three are
+    # read entry by entry up to the first entry that differs
     spec = GeneratorSpec(Mode.RANDOM, RATIONAL, 2, sample_count=20, seed=7)
-    pairs = set(harness_mod._l31_pairs(spec, 20))
-    check, multiply = harness_mod.check_left_right_duality, Matrix._product
+    check, multiply, dot = (harness_mod.check_left_right_duality, Matrix._product,
+                            FieldDescriptor.dot)
     inside = []
-    products = [0]
+    counts = {"products": 0, "dots": 0}
+    verdicts = []
 
     def duality(e, a):
         inside.append(True)
         try:
-            return check(e, a)
+            verdict = check(e, a)
         finally:
             inside.pop()
+        verdicts.append((e, a, verdict))
+        return verdict
 
     def product(self, other):
-        products[0] += bool(inside)
+        counts["products"] += bool(inside)
         return multiply(self, other)
+
+    def counted_dot(self, xs, ys):
+        counts["dots"] += bool(inside)
+        return dot(self, xs, ys)
 
     monkeypatch.setattr(harness_mod, "check_left_right_duality", duality)
     monkeypatch.setattr(Matrix, "_product", product)
+    monkeypatch.setattr(FieldDescriptor, "dot", counted_dot)
     assert sweep(spec, ["X1"]).lemmas["L3.1"]["checked"] == 400
-    # a e, (a - e)^2 and (a - e) a once per distinct pair, except that a e
-    # is e e on a pair (e, e); e e itself costs nothing, as X1 took it in
-    # e's memo before its pairs ran
-    diagonal = sum(i == j for i, j in pairs)
-    assert diagonal > 0
-    assert products[0] == 3 * len(pairs) - diagonal == 723
+    assert counts["products"] == 0
+    # the 400 checks read 1342 entries; building the three products in full
+    # once per distinct pair (a e = e e on the diagonal), 723 products of 4
+    # entries, costs 2892
+    assert counts["dots"] == 1342
+    monkeypatch.undo()
+    assert len(verdicts) == 400
+    for e, a, verdict in verdicts:
+        d = a - e
+        holds = (e * e == a * e) == (d * d == d * a)
+        assert verdict is (Verdict.CONSISTENT if holds else Verdict.COUNTEREXAMPLE)
 
 
 def test_scalar_pools_built_once_per_stream(monkeypatch):

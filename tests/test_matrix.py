@@ -1,6 +1,7 @@
 """Ring arithmetic, elimination, factorization, and the matrix text format."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,8 @@ from starring.matrix import (
     ShapeError,
     parse_inline,
     parse_matrix,
+    product_memo,
+    products_equal,
 )
 from starring.starfield import (
     FieldKind,
@@ -248,6 +251,87 @@ def test_field_mismatch():
         Matrix.identity(F3, 2) + Matrix.identity(F2, 2)
     with pytest.raises(FieldMismatchError):
         Matrix(RATIONAL, [[F3.one()]])
+
+
+# -- comparing products without building them ------------------------------------------
+
+def _built(side):
+    return side if isinstance(side, Matrix) else side[0] * side[1]
+
+
+@pytest.mark.parametrize("field", FAMILIES, ids=lambda f: f.name)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_products_equal_agrees_with_eager_equality(field, n):
+    rng = random.Random(n)
+    one = field.one()
+    for _ in range(4):
+        x, y, z = (rand_matrix(field, n, rng) for _ in range(3))
+        zero = Matrix.zeros(field, n)
+        xy = x * y
+        xyz = xy * z
+        # xyz with the entry at (i, j) changed, for every (i, j) in turn
+        near = [Matrix(field, [[e + one if (r, c) == (i, j) else e
+                                for c, e in enumerate(row)]
+                               for r, row in enumerate(xyz.rows)])
+                for i in range(n) for j in range(n)]
+        cases = [((xy, z), (x, y * z)), ((x, y), xy), (xyz, xyz)]
+        cases += [((xy, z), m) for m in near]
+        cases += [((x, y), (x, z)), ((y, x), (z, x)), ((x, x), (y, x)),
+                  ((zero, y), (zero, z))]
+        for lhs, rhs in cases:
+            for left, right in ((lhs, rhs), (rhs, lhs)):
+                expected = _built(left) == _built(right)
+                assert products_equal(left, right) is expected
+                for held in (left, right):
+                    with product_memo():
+                        _built(held)
+                        assert products_equal(left, right) is expected
+
+
+def test_products_equal_reads_held_products(monkeypatch):
+    x = Matrix.from_ints(GAUSSIAN, [[1, 2], [3, 4]])
+    y = Matrix.from_ints(GAUSSIAN, [[0, 1], [1, 0]])
+    with product_memo():
+        xy, yx = x * y, y * x
+        dots = []
+        dot = type(GAUSSIAN).dot
+
+        def counted_dot(self, xs, ys):
+            dots.append(1)
+            return dot(self, xs, ys)
+
+        monkeypatch.setattr(type(GAUSSIAN), "dot", counted_dot)
+        assert products_equal((x, y), (x, y)) and not products_equal((x, y), (y, x))
+        assert dots == []
+        # a side the memo does not hold is read up to its first differing entry
+        assert not products_equal((x, y), (x, x)) and len(dots) == 1
+        assert not products_equal(xy, (yx, x)) and len(dots) == 2
+    assert products_equal(xy, (x, y))
+
+
+@pytest.mark.parametrize("field", FAMILIES, ids=lambda f: f.name)
+def test_products_equal_shapes_and_fields(field):
+    def zeros(r, c):
+        return Matrix.zeros(field, r, c)
+
+    # shapes that differ while every entry either side has is zero
+    for lhs, rhs in (((zeros(2, 2), zeros(2, 2)), zeros(3, 3)),
+                     ((zeros(1, 2), zeros(2, 2)), zeros(2, 1)),
+                     ((zeros(2, 1), zeros(1, 2)), (zeros(3, 1), zeros(1, 3))),
+                     ((zeros(1, 3), zeros(3, 2)), (zeros(2, 3), zeros(3, 1)))):
+        for left, right in ((lhs, rhs), (rhs, lhs)):
+            assert products_equal(left, right) is False
+    other = F2 if field is not F2 else F3
+    assert products_equal((zeros(2, 2), zeros(2, 2)), Matrix.zeros(other, 2)) is False
+    # a pair that cannot be multiplied raises what x * y raises
+    for x, y in ((zeros(2, 3), zeros(2, 3)),
+                 (Matrix.identity(field, 2), Matrix.identity(other, 2))):
+        with pytest.raises((ShapeError, FieldMismatchError)) as eager:
+            x * y
+        for left, right in (((x, y), zeros(2, 2)), (zeros(3, 3), (x, y)),
+                            ((x, y), (x, y))):
+            with pytest.raises(eager.type, match=f"^{re.escape(str(eager.value))}$"):
+                products_equal(left, right)
 
 
 # -- text format ------------------------------------------------------------------
