@@ -29,9 +29,8 @@ def main():
     parser.add_argument("--entries", default="all")
     args = parser.parse_args()
 
-    entry_ids = [s.strip() for s in args.entries.split(",") if s.strip()] or "all"
     try:
-        resolve_entries(entry_ids)
+        resolve_entries(args.entries)
     except UnknownEntryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -41,7 +40,7 @@ def main():
     bad = 0
     t0 = time.perf_counter()
     for name, spec in BATTERY.items():
-        report = sweep(spec, entry_ids)
+        report = sweep(spec, args.entries)
         path = out_dir / f"{name}.json"
         path.write_text(report.to_json() + "\n", encoding="utf-8")
         n = report.counterexample_count()

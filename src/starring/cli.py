@@ -179,8 +179,7 @@ def _verify_text(report) -> str:
 
 def cmd_verify(args) -> int:
     spec = _build_spec(args)
-    entry_ids = [s.strip() for s in args.entries.split(",") if s.strip()]
-    report = sweep(spec, entry_ids or "all")
+    report = sweep(spec, args.entries)
     if args.format == "json":
         _emit(report.to_json(), args.out)
     else:

@@ -226,11 +226,12 @@ BATTERY = {
 # -- sweeping --------------------------------------------------------------------
 
 def resolve_entries(entry_ids) -> list[TheoremEntry]:
-    """Map CLI-style entry selectors to registry entries ('all' = everything)."""
+    """Map entry selectors to registry entries: a list of IDs, or the
+    comma-separated text of `--entries`; 'all', or no ID, is every entry."""
     if isinstance(entry_ids, str):
-        entry_ids = [entry_ids]
+        entry_ids = [s.strip() for s in entry_ids.split(",") if s.strip()]
     ids = list(entry_ids)
-    if ids == ["all"]:
+    if ids in ([], ["all"]):
         return registry()
     table = registry_map()
     out = []

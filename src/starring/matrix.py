@@ -282,32 +282,37 @@ def products_equal(lhs, rhs) -> bool:
     The entries are compared in row order and the first that differs
     decides.  A product the open memo holds is read from it; any other is
     computed one entry at a time by the rule of `x * y`, up to that entry.
+    When such a pair comes out equal to a built side (a Matrix, or a product
+    the memo holds), the open memo keeps that side as the pair's product.
     A pair raises what x * y raises on different fields or unmatched shapes;
     sides of different fields or shapes are unequal, as for `==`.
     """
-    field, shape, left = _entries(lhs)
-    other_field, other_shape, right = _entries(rhs)
+    memo = _MEMO.get()
+    field, shape, left, left_built = _entries(lhs, memo)
+    other_field, other_shape, right, right_built = _entries(rhs, memo)
     if field is not other_field or shape != other_shape:
         return False
     # equal shapes, so map reads every entry of both sides; one field, so
     # entries are equal exactly when their values are
-    return all(map(eq, map(_VALUE, left), map(_VALUE, right)))
+    equal = all(map(eq, map(_VALUE, left), map(_VALUE, right)))
+    if equal and memo is not None and (left_built is None) != (right_built is None):
+        memo[tuple(lhs if left_built is None else rhs)] = left_built or right_built
+    return equal
 
 
-def _entries(side):
+def _entries(side, memo):
     """The field, shape and row-order entries of a Matrix or of a pair's
-    product; a product not in the open memo is computed as it is read."""
+    product, and their Matrix, or None for a product computed as it is read."""
     if not isinstance(side, Matrix):
         x, y = side
-        memo = _MEMO.get()
         side = memo.get((x, y)) if memo is not None else None
         if side is None:
             dot, cols = x._factors(y)
             rows = x.rows
             return (x.field, (len(rows), len(cols)),
-                    map(dot, [row for row in rows for _ in cols], cols * len(rows)))
+                    map(dot, [row for row in rows for _ in cols], cols * len(rows)), None)
     rows = side.rows
-    return side.field, (len(rows), len(rows[0])), chain.from_iterable(rows)
+    return side.field, (len(rows), len(rows[0])), chain.from_iterable(rows), side
 
 
 @contextmanager

@@ -1,27 +1,45 @@
 """Registry of executable strongly-EP characterizations.
 
-Each entry pairs a stable ID with a decidable condition on a bundle whose
-element has both a group and an MP inverse.  For a biconditional entry the
-condition must hold exactly when the element is strongly EP (entry X3 targets
-the partial-isometry class instead); an element where the two sides disagree
-is a counterexample, which a correct build never produces.
+Each entry is a stable ID and its statement, which a private reader turns
+into the entry's condition once, at import.  For a biconditional entry the
+condition must hold exactly when the element is strongly EP (X3 targets the
+partial-isometry class instead); an element where the two sides disagree is
+a counterexample, which a correct build never produces.  Entry T3.4e is
+informational: its source statement is ambiguous, so it is evaluated and
+reported but not gated.  The two lemma checks are universal identities
+exposed as standalone functions; L3.1 needs no invertibility at all.
 
-Entry T3.4e is informational: its source statement is ambiguous, so it is
-evaluated and reported but excluded from gating.  The two lemma checks are
-universal identities exposed as standalone functions; L3.1 needs no
-invertibility at all.
+Notation: a* adjoint, a^+ MP inverse (a-dagger elsewhere in the docs), a^#
+group inverse, PE the set of projections.  The reader knows these forms:
 
-Notation used in statement strings: a* adjoint, a^+ MP inverse (a-dagger
-elsewhere in the docs), a^# group inverse, PE the set of projections.
+    statement := ["informational: "] ("sep" | "partial isometry") " <=> " claim
+                 [" for some x in {" expr {", " expr} "}" | " for k = " n {", " n}]
+    claim     := expr " in PE" | expr " = " expr
+               | expr " is a " ("left" | "right") " " factor "-idempotent"
+               | expr " and " expr " are left " factor "-equivalent"
+    expr      := ["-"] product {" - " product}
+    product   := factor {" " factor}
+    factor    := atom | "(" expr ")" ["*" | "^k"]
+    atom      := "a" ["*" | "^+" | "^#" | "^2" | "^3"] | "x" ["^+"] | "(a^#)^+" | "(a^+)^#"
+
+Products are taken left to right (C2.10 takes C2.7's right to left, so that
+the two agreeing is not a tautology), and what does not depend on x or k is
+computed once, before the loop.  x^+ of a member comes from the Penrose
+symmetries (_MP_OF).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
+from itertools import groupby
 from typing import Callable
 
-from .classify import (
+# The conditions call the relation predicates, is_projection, products_equal
+# and derived_elements by name through this module's globals, at call time.
+from .classify import (  # noqa: F401
     are_left_equivalent_for,
     is_left_idempotent_for,
     is_pi,
@@ -33,7 +51,7 @@ from .classify import (
 # benchmark's tracer test (bench/test_bench.py) checks that the tracer
 # rebinds a function this module imports by name, and it names this one.
 from .geninv import InverseBundle, derived_elements, mp_inverse  # noqa: F401
-from .matrix import Matrix, products_equal
+from .matrix import Matrix, products_equal  # noqa: F401
 
 
 class Kind(Enum):
@@ -71,257 +89,198 @@ class TheoremCase:
     verdict: Verdict
 
 
-# -- shared bundle products ----------------------------------------------------
-# Inside a sweep every product below is computed once per element by the
-# product memo, which keys on its operands by value; only what is built from
-# more than a product, difference, negation or adjoint is cached on b.
+# -- statements ----------------------------------------------------------------
 
-def _skew(b):
-    """a (a^#)* a^+, the recurring left side of the core identity X1."""
-    return b.a * b.group.star() * b.mp
+_RIGHT_TO_LEFT = True  # a row's optional third field: read its products right to left
+
+_STATEMENTS = (
+    ("T2.1", "sep <=> a (a^#)* a^+ a^# in PE"),
+    ("T2.2", "sep <=> a^+ a (a^+)* a^+ in PE"),
+    ("T2.3", "sep <=> a a* a^+ a^+ a^2 in PE"),
+    ("C2.4", "sep <=> a a* a^+ x x^+ a in PE for some x in {a, a^#, a^+, a*, (a^+)*, (a^#)*}"),
+    ("T2.5", "sep <=> a^+ a^3 a* a^+ in PE"),
+    ("C2.6b", "sep <=> x x^+ a^2 a* a^+ in PE for some x in {a^+, a*, (a^#)*}"),
+    ("C2.6c", "sep <=> x^+ x a^2 a* a^+ in PE for some x in {a, a^#, (a^+)*}"),
+    ("C2.7", "sep <=> a^2 a* a^# in PE"),
+    ("C2.9", "sep <=> a^+ a^3 a* a^# a a^+ in PE"),
+    ("C2.10", "sep <=> a^2 a* a^# in PE", _RIGHT_TO_LEFT),  # a^2 (a* a^#)
+    ("T3.2", "sep <=> a (a^#)* a^+ is a left (a^+ a^2)-idempotent"),
+    ("T3.3b", "sep <=> a (a^#)* a^+ is a right (a^+ a^2)-idempotent"),
+    ("T3.3c", "sep <=> a^+ a^2 is a left (a (a^#)* a^+)-idempotent"),
+    ("T3.3d", "sep <=> a^+ a^2 is a right (a (a^#)* a^+)-idempotent"),
+    ("T3.4b", "sep <=> a (a^#)* a^+ - a^+ a^2 is a right (-a^+ a^2)-idempotent"),
+    ("T3.4c", "sep <=> a (a^#)* a^+ - a^+ a^2 is a left (-a^+ a^2)-idempotent"),
+    ("T3.4d", "sep <=> a^+ a^2 - a (a^#)* a^+ is a right (-a (a^#)* a^+)-idempotent"),
+    ("T3.4e", "informational: sep <=> a^+ a^2 - a (a^#)* a^+ is a left "
+              "(-a (a^#)* a^+)-idempotent"),
+    ("T3.5", "sep <=> a (a^#)* a^+ is a right a-idempotent"),
+    ("T3.6", "sep <=> a^+ a^2 is a left ((a^+)*)-idempotent"),
+    ("T4.1", "sep <=> (a (a^#)* a^+)^k = (a^+ a^2)^k for k = 2, 3"),
+    ("T4.2", "sep <=> (a a* a^+ a^+ a^2)^k in PE for k = 2, 3"),
+    ("T4.3", "sep <=> (a (a^#)* a^+)^k is a left ((a^+ a^2)^k)-idempotent for k = 2, 3"),
+    ("T5.1", "sep <=> a (a^#)* a^+ and a^+ a^2 are left a-equivalent"),
+    ("T5.2", "sep <=> a (a^#)* a^+ and a^+ a^2 are left x-equivalent for some x in "
+             "{a, a^#, a^+, a*, (a^+)*, (a^#)*, (a^#)^+, (a^+)^#}"),
+    ("T5.3", "sep <=> a (a^#)* a^+ and a^+ a^2 are left (a^+ a^2)-equivalent"),
+    ("T5.4", "sep <=> a (a^#)* a^+ and a^+ a^2 are left (a^+ a a^#)-equivalent"),
+    ("X1", "sep <=> a (a^#)* a^+ = a^+ a^2"),
+    ("X2", "sep <=> a^+ = a* a^+ a"),
+    ("X3", "partial isometry <=> a a* in PE"),
+)
 
 
-def _straight(b):
-    """a^+ a^2, the recurring right side of the core identity X1."""
-    return b.mp * (b.a * b.a)
+# -- the reader ------------------------------------------------------------------
+# The reader writes each operand as Python source: an atom as its _ATOMS
+# entry, a product of factors with Python's left-to-right *.  _FACTOR reads
+# a minus sign, an atom or a parenthesized operand, nested at most twice.
 
-
-def _gram(b):
-    """a a* a^+ a^+ a^2, the projector candidate of T2.3 and T4.2."""
-    return b.a * b.star * b.mp * b.mp * (b.a * b.a)
-
-
-# The MP inverse of each of the six core derived members.  The Penrose
-# equations are symmetric in the pair (x, x^+) and invariant under the
-# involution, so (x^+)^+ = x and (x*)^+ = (x^+)*: each is b.mp, which passed
-# the bundle's Penrose check, mp_of_group, which derived_elements checked
-# against its closed form, or a member or adjoint of these.
-_MEMBER_MP = {
-    "a": lambda b: b.mp,
-    "group": lambda b: derived_elements(b)["mp_of_group"],
-    "mp": lambda b: b.a,
-    "star": lambda b: b.mp.star(),
-    "mp_star": lambda b: b.star,
-    "group_star": lambda b: derived_elements(b)["mp_of_group"].star(),
+_FACTOR = re.compile(r"-|[ax](?:\^[+#23]|\*)?|\((?:[^()]|\([^()]*\))*\)(?:\*|\^[+#k])?")
+_ATOMS = {
+    "a": "b.a", "a*": "b.star", "a^+": "b.mp", "a^#": "b.group", "a^2": "(b.a * b.a)",
+    "a^3": "(b.a * b.a * b.a)", "x": "x", "x^+": "x_mp",
+    "(a^#)^+": 'derived_elements(b)["mp_of_group"]',
+    "(a^+)^#": 'derived_elements(b)["group_of_mp"]',
+}
+# x^+ of each member a loop may range over, by the Penrose symmetries
+# (x^+)^+ = x and (x*)^+ = (x^+)*
+_MP_OF = {"a": "a^+", "a^+": "a", "a^#": "(a^#)^+", "a*": "(a^+)*", "(a^+)*": "a*",
+          "(a^#)*": "((a^#)^+)*"}
+_TARGETS = {"sep": Kind.SEP, "partial isometry": Kind.PI}
+_CLAIMS = {  # each operand a {}
+    "{} in PE": "is_projection({})",
+    "{} is a left {}-idempotent": "is_left_idempotent_for({}, {})",
+    "{} is a right {}-idempotent": "is_right_idempotent_for({}, {})",
+    "{} and {} are left {}-equivalent": "are_left_equivalent_for({}, {}, {})",
+    "{} = {}": "products_equal({}, {})",
 }
 
 
-# members x with x x^+ = a a^+ (resp. x x^+ = a^+ a) among the derived six
-_RANGE_MATES_OF_A = ("a", "group", "mp_star")
-_RANGE_MATES_OF_ADJOINT = ("mp", "star", "group_star")
-_CORE_SIX = ("a", "group", "mp", "star", "mp_star", "group_star")
-
-
-def _exists_projection_witness(b, members, build) -> bool:
-    """Whether build(x, x^+) is a projection for some x among the named
-    derived members; every one of them has an MP inverse, given by
-    _MEMBER_MP.  Range mates share one x x^+ (or x^+ x) by value, and the
-    sweep's product memo keys on operands by value, so the products built
-    on it are taken once."""
-    elems = derived_elements(b)
-    return any(is_projection(build(elems[name], _MEMBER_MP[name](b)))
-               for name in members)
-
-
-# -- conditions ----------------------------------------------------------------
-
-def _t2_1(b):
-    return is_projection(_skew(b) * b.group)
-
-
-def _t2_2(b):
-    return is_projection(b.mp * b.a * b.mp.star() * b.mp)
-
-
-def _t2_3(b):
-    return is_projection(_gram(b))
-
-
-def _c2_4(b):
-    left = b.a * b.star * b.mp
-    return _exists_projection_witness(
-        b, _CORE_SIX, lambda x, x_mp: left * (x * x_mp) * b.a)
-
-
-def _t2_5(b):
-    return is_projection(b.mp * (b.a * b.a * b.a) * b.star * b.mp)
-
-
-def _c2_6b(b):
-    tail = b.a * b.a * b.star * b.mp
-    return _exists_projection_witness(
-        b, _RANGE_MATES_OF_ADJOINT, lambda x, x_mp: x * x_mp * tail)
-
-
-def _c2_6c(b):
-    tail = b.a * b.a * b.star * b.mp
-    return _exists_projection_witness(
-        b, _RANGE_MATES_OF_A, lambda x, x_mp: x_mp * x * tail)
-
-
-def _c2_7(b):
-    return is_projection(b.a * b.a * b.star * b.group)
-
-
-def _c2_10(b):
-    # same expression as C2.7, registered separately; kept as its own
-    # function so the duplicate-identity acceptance check is not a tautology
-    return is_projection(b.a * b.a * b.star * b.group)
-
-
-def _c2_9(b):
-    return is_projection(b.mp * (b.a * b.a * b.a) * b.star * b.group * b.a * b.mp)
-
-
-def _t3_2(b):
-    return is_left_idempotent_for(_skew(b), _straight(b))
-
-
-def _t3_3b(b):
-    return is_right_idempotent_for(_skew(b), _straight(b))
-
-
-def _t3_3c(b):
-    return is_left_idempotent_for(_straight(b), _skew(b))
-
-
-def _t3_3d(b):
-    return is_right_idempotent_for(_straight(b), _skew(b))
-
-
-def _diff(b):
-    return _skew(b) - _straight(b)
-
-
-def _t3_4b(b):
-    return is_right_idempotent_for(_diff(b), -_straight(b))
-
-
-def _t3_4c(b):
-    return is_left_idempotent_for(_diff(b), -_straight(b))
-
-
-def _t3_4d(b):
-    return is_right_idempotent_for(-_diff(b), -_skew(b))
-
-
-def _t3_4e(b):
-    return is_left_idempotent_for(-_diff(b), -_skew(b))
-
-
-def _t3_5(b):
-    return is_right_idempotent_for(_skew(b), b.a)
-
-
-def _t3_6(b):
-    return is_left_idempotent_for(_straight(b), b.mp.star())
-
-
-def _t4_1(b):
-    # the squares are T4.3's operands, so they are built; the cubes are
-    # compared entry by entry as the squares times the base
-    w, u = _skew(b), _straight(b)
-    w2, u2 = w ** 2, u ** 2
-    return w2 == u2 and products_equal((w2, w), (u2, u))
-
-
-def _t4_2(b):
-    return all(is_projection(_gram(b) ** k) for k in (2, 3))
-
-
-def _t4_3(b):
-    return all(is_left_idempotent_for(_skew(b) ** k, _straight(b) ** k)
-               for k in (2, 3))
-
-
-def _t5_1(b):
-    return are_left_equivalent_for(_skew(b), _straight(b), b.a)
-
-
-def _t5_2(b):
-    w, u = _skew(b), _straight(b)
-    return any(are_left_equivalent_for(w, u, x) for x in derived_elements(b).values())
-
-
-def _t5_3(b):
-    u = _straight(b)
-    return are_left_equivalent_for(_skew(b), u, u)
-
-
-def _t5_4(b):
-    return are_left_equivalent_for(_skew(b), _straight(b), b.mp * b.a * b.group)
-
-
-def _x1(b):
-    return _skew(b) == _straight(b)
-
-
-def _x2(b):
-    return products_equal(b.mp, (b.star * b.mp, b.a))
-
-
-def _x3(b):
-    return is_projection(b.a * b.star)
-
-
-_SIX = "{a, a^#, a^+, a*, (a^+)*, (a^#)*}"
-_EIGHT = "{a, a^#, a^+, a*, (a^+)*, (a^#)*, (a^#)^+, (a^+)^#}"
-
-_ENTRIES = (
-    TheoremEntry("T2.1", Kind.SEP, "sep <=> a (a^#)* a^+ a^# in PE", _t2_1),
-    TheoremEntry("T2.2", Kind.SEP, "sep <=> a^+ a (a^+)* a^+ in PE", _t2_2),
-    TheoremEntry("T2.3", Kind.SEP, "sep <=> a a* a^+ a^+ a^2 in PE", _t2_3),
-    TheoremEntry("C2.4", Kind.SEP,
-                 f"sep <=> a a* a^+ x x^+ a in PE for some x in {_SIX}", _c2_4),
-    TheoremEntry("T2.5", Kind.SEP, "sep <=> a^+ a^3 a* a^+ in PE", _t2_5),
-    TheoremEntry("C2.6b", Kind.SEP,
-                 "sep <=> x x^+ a^2 a* a^+ in PE for some x in {a^+, a*, (a^#)*}", _c2_6b),
-    TheoremEntry("C2.6c", Kind.SEP,
-                 "sep <=> x^+ x a^2 a* a^+ in PE for some x in {a, a^#, (a^+)*}", _c2_6c),
-    TheoremEntry("C2.7", Kind.SEP, "sep <=> a^2 a* a^# in PE", _c2_7),
-    TheoremEntry("C2.9", Kind.SEP, "sep <=> a^+ a^3 a* a^# a a^+ in PE", _c2_9),
-    TheoremEntry("C2.10", Kind.SEP, "sep <=> a^2 a* a^# in PE", _c2_10),
-    TheoremEntry("T3.2", Kind.SEP,
-                 "sep <=> a (a^#)* a^+ is a left (a^+ a^2)-idempotent", _t3_2),
-    TheoremEntry("T3.3b", Kind.SEP,
-                 "sep <=> a (a^#)* a^+ is a right (a^+ a^2)-idempotent", _t3_3b),
-    TheoremEntry("T3.3c", Kind.SEP,
-                 "sep <=> a^+ a^2 is a left (a (a^#)* a^+)-idempotent", _t3_3c),
-    TheoremEntry("T3.3d", Kind.SEP,
-                 "sep <=> a^+ a^2 is a right (a (a^#)* a^+)-idempotent", _t3_3d),
-    TheoremEntry("T3.4b", Kind.SEP,
-                 "sep <=> a (a^#)* a^+ - a^+ a^2 is a right (-a^+ a^2)-idempotent", _t3_4b),
-    TheoremEntry("T3.4c", Kind.SEP,
-                 "sep <=> a (a^#)* a^+ - a^+ a^2 is a left (-a^+ a^2)-idempotent", _t3_4c),
-    TheoremEntry("T3.4d", Kind.SEP,
-                 "sep <=> a^+ a^2 - a (a^#)* a^+ is a right (-a (a^#)* a^+)-idempotent", _t3_4d),
-    TheoremEntry("T3.4e", Kind.SEP,
-                 "informational: sep <=> a^+ a^2 - a (a^#)* a^+ is a left "
-                 "(-a (a^#)* a^+)-idempotent", _t3_4e, gated=False),
-    TheoremEntry("T3.5", Kind.SEP,
-                 "sep <=> a (a^#)* a^+ is a right a-idempotent", _t3_5),
-    TheoremEntry("T3.6", Kind.SEP,
-                 "sep <=> a^+ a^2 is a left ((a^+)*)-idempotent", _t3_6),
-    TheoremEntry("T4.1", Kind.SEP,
-                 "sep <=> (a (a^#)* a^+)^k = (a^+ a^2)^k for k = 2, 3", _t4_1),
-    TheoremEntry("T4.2", Kind.SEP,
-                 "sep <=> (a a* a^+ a^+ a^2)^k in PE for k = 2, 3", _t4_2),
-    TheoremEntry("T4.3", Kind.SEP,
-                 "sep <=> (a (a^#)* a^+)^k is a left ((a^+ a^2)^k)-idempotent "
-                 "for k = 2, 3", _t4_3),
-    TheoremEntry("T5.1", Kind.SEP,
-                 "sep <=> a (a^#)* a^+ and a^+ a^2 are left a-equivalent", _t5_1),
-    TheoremEntry("T5.2", Kind.SEP,
-                 f"sep <=> a (a^#)* a^+ and a^+ a^2 are left x-equivalent "
-                 f"for some x in {_EIGHT}", _t5_2),
-    TheoremEntry("T5.3", Kind.SEP,
-                 "sep <=> a (a^#)* a^+ and a^+ a^2 are left (a^+ a^2)-equivalent", _t5_3),
-    TheoremEntry("T5.4", Kind.SEP,
-                 "sep <=> a (a^#)* a^+ and a^+ a^2 are left (a^+ a a^#)-equivalent", _t5_4),
-    TheoremEntry("X1", Kind.SEP, "sep <=> a (a^#)* a^+ = a^+ a^2", _x1),
-    TheoremEntry("X2", Kind.SEP, "sep <=> a^+ = a* a^+ a", _x2),
-    TheoremEntry("X3", Kind.PI, "partial isometry <=> a a* in PE", _x3),
-)
+def _join(factors, right_to_left):
+    if right_to_left:
+        return reduce(lambda r, f: f"{f} * ({r})", reversed(factors[:-1]), factors[-1])
+    return " * ".join(factors)
+
+
+def _varies(text):
+    return "x" in text or "^k" in text
+
+
+def _factor(piece, right_to_left, hoist):
+    if piece in _ATOMS:
+        return _ATOMS[piece]
+    if piece[0] != "(":
+        raise ValueError(f"unknown atom {piece!r}")
+    inner, post = piece[1:piece.rindex(")")], piece[piece.rindex(")") + 1:]
+    if post not in ("", "*", "^k"):
+        raise ValueError(f"no {post} form for {piece!r}")
+    source = _operand(inner, right_to_left, hoist if _varies(inner) else None)
+    if post == "^k":  # the base is computed once, before the loop over k
+        return f"{hoist(source) if hoist and not _varies(inner) else f'({source})'} ** k"
+    return f"({source}).star()" if post == "*" else f"({source})"
+
+
+def _operand(text, right_to_left, hoist=None, pair=False):
+    """The source of one operand.  Inside a loop, hoist(source) names a run of
+    factors that varies with neither x nor k, so it is computed once; with
+    pair, one product of several factors is written as the pair of its last
+    multiplication, which products_equal compares without building it."""
+    pieces = _FACTOR.findall(text)
+    if "".join(pieces).replace(" ", "") != text.replace(" ", "") or not pieces:
+        raise ValueError(f"unknown atom or unbalanced parenthesis in {text!r}")
+    negated, terms = pieces[0] == "-", [[]]
+    for piece in pieces[negated:]:
+        if piece == "-":
+            terms.append([])
+        else:
+            terms[-1].append(piece)
+    if not all(terms):
+        raise ValueError(f"a minus sign without a product in {text!r}")
+    if pair and len(terms) == 1 and not negated and len(terms[0]) > 1:
+        f = [_factor(p, right_to_left, hoist) for p in terms[0]]
+        return (f"({f[0]}, {_join(f[1:], True)})" if right_to_left
+                else f"({_join(f[:-1], False)}, {f[-1]})")
+    products = []
+    for term in terms:
+        runs = []
+        for varies, run in groupby(term, _varies):
+            factors = [_factor(p, right_to_left, hoist) for p in run]
+            source = _join(factors, right_to_left)
+            if hoist and not varies:
+                source = hoist(source)
+            elif runs and len(factors) > 1:
+                source = f"({source})"
+            runs.append(source)
+        products.append(" * ".join(runs))
+    if negated:
+        products[0] = f"-({products[0]})"
+    return " - ".join(products)
+
+
+def _operands(form, text):
+    """The texts that fill the {} of form to make text, or None."""
+    *separators, last = form.split("{}")[1:]
+    texts = []
+    for separator in separators:
+        head, found, text = text.partition(separator)
+        texts.append(head if found else "")
+    texts.append(text[:len(text) - len(last)] if text.endswith(last) else "")
+    return texts if all(texts) else None
+
+
+def _read(statement, right_to_left=False):
+    """The kind, the gating and the body of the condition of one statement;
+    raises ValueError on a form the reader does not know."""
+    gated = not statement.startswith("informational: ")
+    target, arrow, claim = statement.removeprefix("informational: ").partition(" <=> ")
+    if not arrow or target not in _TARGETS:
+        raise ValueError(f"unknown target {target!r} in {statement!r}" if arrow
+                         else f"no ' <=> ' in {statement!r}")
+    claim, some_x, members = claim.partition(" for some x in {")
+    claim, each_k, ks = claim.partition(" for k = ")
+    if some_x and not members.endswith("}"):
+        raise ValueError(f"unbalanced brace in {statement!r}")
+    if "x" in members or "x" in claim and not some_x or "^k" in claim and not each_k:
+        raise ValueError(f"x or k outside its loop in {statement!r}")
+    form = next((f for f in _CLAIMS if _operands(f, claim)), None)
+    if form is None:
+        raise ValueError(f"unknown claim form {claim!r} in {statement!r}")
+    names, lines = {}, []
+
+    def hoist(source):
+        if source.replace(".", "").isidentifier():
+            return source
+        if source not in names:
+            names[source] = f"t{len(names)}"
+            lines.append(f"    {names[source]} = {source}")
+        return names[source]
+
+    loop = hoist if some_x or each_k else None
+    test = _CLAIMS[form].format(*(_operand(t, right_to_left, loop, form == "{} = {}")
+                                  for t in _operands(form, claim)))
+    if some_x:
+        members, with_mp = members[:-1].split(", "), "x^+" in claim
+        if with_mp and (unknown := set(members) - _MP_OF.keys()):
+            raise ValueError(f"no x^+ form for {sorted(unknown)} in {statement!r}")
+        each = ", ".join(f"({_operand(m, right_to_left)}, {_operand(_MP_OF[m], right_to_left)})"
+                         if with_mp else _operand(m, right_to_left) for m in members)
+        test = f"any({test} for {'x, x_mp' if with_mp else 'x'} in ({each},))"
+    elif each_k:
+        test = f"all({test} for k in {tuple(int(k) for k in ks.split(', '))})"
+    return _TARGETS[target], gated, "\n".join([*lines, f"    return {test}"])
+
+
+def _read_all(rows):
+    """The entries of a statement table, their conditions compiled at once."""
+    read = [(row[0], row[1], "_" + row[0].replace(".", "_"), *_read(*row[1:]))
+            for row in rows]
+    source = "\n".join(f"def {name}(b):\n{body}" for *_, name, _, _, body in read)
+    conditions = {}
+    exec(compile(source, "<statements>", "exec"), globals(), conditions)
+    return tuple(TheoremEntry(entry_id, kind, statement, conditions[name], gated)
+                 for entry_id, statement, name, kind, gated, _ in read)
+
+
+_ENTRIES = _read_all(_STATEMENTS)
 
 
 def registry() -> list[TheoremEntry]:

@@ -398,6 +398,19 @@ def test_theorems_section_filter(capsys):
     assert all(ln.startswith("T3.") for ln in lines)
 
 
+@pytest.mark.parametrize("argv,digest", [
+    ((), "38570e30501d2075d9803b640c51c5aa89bd3ced96eab849e329329ea2069a4e"),
+    (("--format", "json"),
+     "15220c2cf155ea914f5a88d73b98f67943da62285a8d63434331b5e69ee26a6d"),
+])
+def test_theorems_pinned(capsys, argv, digest):
+    # sha256 of the whole stdout, recorded while each entry's kind and gating
+    # were still written beside its statement rather than read from it
+    rc, out, _ = run(capsys, "theorems", *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_theorems_json(capsys):
     rc, out, _ = run(capsys, "theorems", "--format", "json")
     assert rc == 0

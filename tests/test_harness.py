@@ -177,6 +177,11 @@ def test_entry_resolution():
     assert [e.id for e in resolve_entries(["T2.5", "X3"])] == ["T2.5", "X3"]
     with pytest.raises(UnknownEntryError):
         resolve_entries(["T9.9"])
+    # the text of --entries: comma-separated, stripped, no ID meaning all
+    assert [e.id for e in resolve_entries(" T2.5, X3 ,")] == ["T2.5", "X3"]
+    assert resolve_entries("") == resolve_entries(" , ") == registry()
+    with pytest.raises(UnknownEntryError, match="'X9'"):
+        resolve_entries("X1, X9")
 
 
 FROZEN_MEMBERSHIP = {
@@ -534,6 +539,36 @@ def test_l31_products_taken_once_per_e_and_pair(monkeypatch):
         d = a - e
         holds = (e * e == a * e) == (d * d == d * a)
         assert verdict is (Verdict.CONSISTENT if holds else Verdict.COUNTEREXAMPLE)
+
+
+def test_entry_products_shared_through_the_memo(monkeypatch):
+    # every product the registry entries take or compare, over all of M_2(F_3):
+    # a statement read in another association order, or a loop that takes a
+    # product per member that it could take once, changes this count
+    spec = GeneratorSpec(Mode.EXHAUSTIVE, prime_field(3), 2)
+    evaluate_entry, dot = harness_mod.evaluate, type(spec.field).dot
+    inside = []
+    dots = []
+
+    def evaluate(entry, bundle):
+        inside.append(True)
+        try:
+            return evaluate_entry(entry, bundle)
+        finally:
+            inside.pop()
+
+    def counted_dot(self, xs, ys):
+        if inside:
+            dots.append(1)
+        return dot(self, xs, ys)
+
+    monkeypatch.setattr(harness_mod, "evaluate", evaluate)
+    monkeypatch.setattr(type(spec.field), "dot", counted_dot)
+    report = sweep(spec, "all")
+    assert report.totals["bothInvertible"] == 73 and report.totals["sep"] == 17
+    # 11,008 with one hand-written function per entry and no product kept
+    # from a comparison; 10,772 with C2.10 read left to right like C2.7
+    assert len(dots) == 10872
 
 
 def test_scalar_pools_built_once_per_stream(monkeypatch):

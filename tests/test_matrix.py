@@ -309,6 +309,31 @@ def test_products_equal_reads_held_products(monkeypatch):
     assert products_equal(xy, (x, y))
 
 
+def test_products_equal_keeps_a_product_read_in_full(monkeypatch):
+    e = Matrix.from_ints(GAUSSIAN, [[1, 0], [0, 0]])  # e e = e
+    s = Matrix.from_ints(GAUSSIAN, [[0, 1], [1, 0]])  # s s = 1, not s
+    dots = []
+    dot = type(GAUSSIAN).dot
+
+    def counted_dot(self, xs, ys):
+        dots.append(1)
+        return dot(self, xs, ys)
+
+    monkeypatch.setattr(type(GAUSSIAN), "dot", counted_dot)
+    with product_memo():
+        # equal to a built side: the memo keeps that side as the product
+        assert products_equal((e, e), e) and len(dots) == 4
+        assert e * e is e and len(dots) == 4
+        # unequal: nothing is kept, and the product is still computed
+        assert not products_equal(s, (s, s)) and len(dots) == 5
+        assert s * s == Matrix.identity(GAUSSIAN, 2) and len(dots) == 9
+        # two pairs read in full: neither side is built, so nothing is kept
+        assert products_equal((s, e), (s, e.star())) and len(dots) == 17
+        assert s * e == Matrix.from_ints(GAUSSIAN, [[0, 0], [1, 0]]) and len(dots) == 21
+    # no memo open: nothing to keep
+    assert products_equal((e, e), e) and e * e is not e and len(dots) == 29
+
+
 @pytest.mark.parametrize("field", FAMILIES, ids=lambda f: f.name)
 def test_products_equal_shapes_and_fields(field):
     def zeros(r, c):

@@ -1,15 +1,19 @@
 """Registry contents, entry evaluation, and the two lemma checks."""
 
+import re
+
 import pytest
 
+import starring.theorems as theorems_mod
 from starring.classify import is_projection, is_sep
 from starring.geninv import InverseBundle, derived_elements, mp_inverse, verify_penrose
 from starring.harness import GeneratorSpec, Mode, generate
-from starring.matrix import Matrix
+from starring.matrix import Matrix, product_memo
 from starring.starfield import GAUSSIAN, RATIONAL, prime_field, quad_ext_field
 from starring.theorems import (
-    _CORE_SIX,
-    _MEMBER_MP,
+    _MP_OF,
+    _operand,
+    _read,
     Kind,
     Verdict,
     check_left_right_duality,
@@ -221,21 +225,86 @@ def test_duality_exhaustive_f3_pairs():
 
 # -- MP inverses of the derived members -----------------------------------------
 
+# the six members C2.4 ranges over, and the derived_elements name of each
+CORE_SIX = dict(zip(
+    re.search(r"\{(.+)\}", registry_map()["C2.4"].statement)[1].split(", "),
+    ("a", "group", "mp", "star", "mp_star", "group_star")))
+
+
+def reader_value(text, b):
+    """The value on b of one operand, through the source the statement
+    reader writes for it."""
+    return eval(_operand(text, False), vars(theorems_mod), {"b": b})
+
+
 @pytest.mark.parametrize("spec", [
     GeneratorSpec(Mode.EXHAUSTIVE, F3, 2),
     GeneratorSpec(Mode.EXHAUSTIVE, quad_ext_field(2), 2),
     GeneratorSpec(Mode.RANDOM, GAUSSIAN, 3, sample_count=10, seed=104),
 ], ids=["exhaustive-f3", "exhaustive-f4", "random-qi-dim3"])
 def test_member_mp_closed_forms_match_direct_inverse(spec):
+    # the reader's x^+ table, from the Penrose symmetries, for each of the
+    # six members, against the direct MP inverse
+    assert set(_MP_OF) == set(CORE_SIX)
     checked = 0
     for m in generate(spec):
         b = InverseBundle.compute(m)
         if not (b.has_mp and b.has_group):
             continue
         elems = derived_elements(b)
-        for name in _CORE_SIX:
-            x, x_mp = elems[name], _MEMBER_MP[name](b)
-            assert x_mp == mp_inverse(x), (name, m)
-            assert all(verify_penrose(x, x_mp)), (name, m)
+        for text, name in CORE_SIX.items():
+            x, x_mp = reader_value(text, b), reader_value(_MP_OF[text], b)
+            assert x == elems[name], (text, m)
+            assert x_mp == mp_inverse(x), (text, m)
+            assert all(verify_penrose(x, x_mp)), (text, m)
         checked += 1
     assert checked > 0
+
+
+# -- the statement reader ----------------------------------------------------------
+
+@pytest.mark.parametrize("statement,message", [
+    ("sep <=> a b in PE", "unknown atom"),
+    ("sep <=> a^+ a^1 in PE", "unknown atom"),
+    ("sep <=> (a a^+ in PE", "unbalanced parenthesis"),
+    ("sep <=> a a^+) in PE", "unbalanced parenthesis"),
+    ("sep <=> a^+ a^2 is a middle a-idempotent", "unknown claim form"),
+    ("sep <=> a and a^+ are right a-equivalent", "unknown claim form"),
+    ("sep <=> x* in PE for some x in {a}", "unknown atom"),
+    ("ep <=> a a* in PE", "unknown target"),
+    ("informational: sep a a* in PE", "' <=> '"),
+    ("sep <=> x x^+ in PE", "outside its loop"),
+    ("sep <=> (a a)^k in PE for some x in {a}", "outside its loop"),
+    ("sep <=> (a a)^+ in PE", "no ^+ form"),
+    ("sep <=> (a^+)^# ^# in PE", "unknown atom"),
+    ("sep <=> x x^+ in PE for some x in {a a}", "no x^+ form"),
+    ("sep <=> x in PE for some x in {a, a^+", "unbalanced brace"),
+    ("sep <=> a - in PE", "minus sign"),
+    ("sep <=> a - - a^+ in PE", "minus sign"),
+])
+def test_reader_rejects_malformed_statements(statement, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _read(statement)
+
+
+def test_c2_10_takes_its_products_right_to_left(monkeypatch):
+    # C2.10 has C2.7's statement, read in the other association order, so
+    # it still takes a* a^# after C2.7 has left its products in the memo
+    m = frac_matrix([[1, 1], [0, 0]])
+    taken = []
+    product = Matrix._product
+
+    def recorded(self, other):
+        taken.append((self, other))
+        return product(self, other)
+
+    monkeypatch.setattr(Matrix, "_product", recorded)
+    with product_memo():
+        b = InverseBundle.compute(m)
+        assert b.has_mp and b.has_group
+        first = evaluate(registry_map()["C2.7"], b)
+        assert (b.star, b.group) not in taken
+        taken.clear()
+        second = evaluate(registry_map()["C2.10"], b)
+    assert (b.star, b.group) in taken
+    assert first.condition_holds == second.condition_holds
