@@ -27,7 +27,9 @@ side's median and quartiles, the pairs the change won (ties count for
 neither), whether a gain is shown (the change wins at least nine tenths of
 the pairs and its median beats the parent's by more than the distance
 between the parent's quartiles) and whether the change's median stays
-within the metric's BENCHMARK.json bound of the parent's.
+within the metric's BENCHMARK.json bound of the parent's.  Both verdicts are
+false when any pair ran incorrectly or the change failed a larger share of
+its operations; the summary's "operations" entry records why.
 """
 
 from __future__ import annotations
@@ -58,16 +60,26 @@ def quartiles(values) -> dict:
 
 
 def summarize(pairs, end_to_end) -> dict:
-    """Per end-to-end metric: both sides' spread, wins and the two verdicts.
+    """Per end-to-end metric: both sides' spread, wins and the two verdicts;
+    under "operations", each side's checks and failures over all pairs.
 
-    `pairs` holds {"parent": {metric: value}, "change": {metric: value}}
-    per pair; `end_to_end` is the BENCHMARK.json list of metrics with their
-    `better` direction and `bound`.
+    `pairs` holds {"parent": run, "change": run} per pair, each run as
+    `run_bench` returns it; `end_to_end` is the BENCHMARK.json list of
+    metrics with their `better` direction and `bound`.  A pair in which
+    either run printed `correct: false`, or the change failed a larger share
+    of its operations than the parent, is listed in "unsound_pairs" and
+    makes every metric's `gain_shown` and `within_bound` false: the speed of
+    wrong or failing work shows nothing.
     """
+    unsound = [k for k, p in enumerate(pairs)
+               if not (p["parent"]["correct"] and p["change"]["correct"])
+               or p["change"]["failed"] * p["parent"]["attempted"]
+               > p["parent"]["failed"] * p["change"]["attempted"]]
     out = {}
     for metric in end_to_end:
         name, higher = metric["name"], metric["better"] == "higher"
-        sides = {side: [p[side][name] for p in pairs] for side in ("parent", "change")}
+        sides = {side: [p[side]["metrics"][name] for p in pairs]
+                 for side in ("parent", "change")}
         parent, change = quartiles(sides["parent"]), quartiles(sides["change"])
         sign = 1 if higher else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
@@ -82,11 +94,17 @@ def summarize(pairs, end_to_end) -> dict:
             "ratio_change_over_parent": (change["median"] / parent["median"]
                                          if parent["median"] else None),
             "parent_quartile_spread": spread,
-            "gain_shown": 10 * wins >= 9 * len(pairs) and gap > spread,
+            "gain_shown": not unsound and 10 * wins >= 9 * len(pairs) and gap > spread,
             "bound": metric["bound"],
             "worse_than_parent_by": worse_by,
-            "within_bound": worse_by <= metric["bound"],
+            "within_bound": not unsound and worse_by <= metric["bound"],
         }
+    out["operations"] = {
+        side: {"correct": all(p[side]["correct"] for p in pairs),
+               "attempted": sum(p[side]["attempted"] for p in pairs),
+               "failed": sum(p[side]["failed"] for p in pairs)}
+        for side in ("parent", "change")}
+    out["operations"]["unsound_pairs"] = unsound
     return out
 
 
@@ -188,8 +206,7 @@ def main() -> int:
             doc["end_to_end"][workload] = {
                 "seconds": config["run_seconds"],
                 "pairs": pairs,
-                "summary": summarize([{side: p[side]["metrics"] for side in trees}
-                                      for p in pairs], config["end_to_end"]),
+                "summary": summarize(pairs, config["end_to_end"]),
             }
             save()
         if args.trace:

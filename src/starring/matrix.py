@@ -178,9 +178,6 @@ class Matrix:
             raise ShapeError(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
         return self.field.dot, list(zip(*other.rows))
 
-    def scale(self, s: Scalar) -> "Matrix":
-        return Matrix(self.field, [[s * a for a in row] for row in self.rows])
-
     def __pow__(self, k: int) -> "Matrix":
         if k < 1:
             raise ValueError("power must be >= 1")
@@ -378,7 +375,10 @@ def parse_matrix(text: str) -> Matrix:
         raise MatrixParseError(f"expected 'ring <kind> [<p>] n=<dim>', got {lines[0]!r}")
     try:
         field = parse_ring_header(head[1:-1])
-        n = int(head[-1][2:])
+        digits = head[-1][2:]
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"dimension {digits!r} is not a decimal number")
+        n = int(digits)
     except ValueError as exc:
         raise MatrixParseError(f"bad header: {exc}") from None
     if not 1 <= n <= MAX_DIMENSION:
@@ -407,6 +407,8 @@ def parse_inline(field: FieldDescriptor, text: str) -> Matrix:
             rows.append([field.parse(t) for t in tokens])
     if not rows:
         raise MatrixParseError("empty matrix")
+    if len(rows) > MAX_DIMENSION:
+        raise MatrixParseError(f"dimension {len(rows)} outside 1..{MAX_DIMENSION}")
     if any(len(r) != len(rows) for r in rows):
         raise MatrixParseError("inline matrix must be square")
     return Matrix(field, rows)

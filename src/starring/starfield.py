@@ -6,17 +6,21 @@ identity on the rationals and on F_p, complex conjugation on the Gaussian
 rationals, and the Frobenius map s -> s^p on F_{p^2}.
 
 Each family is one subclass of `FieldDescriptor` holding all the rules for
-its raw values: `add`, `neg`, `mul`, `inv`, `star`, `is_zero`, `token`,
-`parse_value`, `from_int`, `element_at`, `name` and `size`.  A `Scalar` is a
-descriptor and a raw value; each operator is a field check plus one call
-into the descriptor.  One rule works on scalars: `dot`, the sum of products
-that is one entry of a matrix product; Q(i), F_p and F_{p^2} compute it on
-the raw values, and Q folds it with the `Scalar` operators.  The field also
-owns the scalars the harness samples: `unitary_scalars`,
-`non_unitary_scalars`, `has_non_unitary_scalar` and `random_scalar`.  A
-finite field walks its elements for the pools and draws uniformly; Q and
-Q(i) keep fixed pools and draw small numerators and denominators.  Ring
-flags (`f32`) and matrix-file ring headers (`fp2 3`) are parsed here too.
+its raw values: `add`, `neg`, `mul`, `dot`, `inv`, `star`, `is_zero`,
+`token`, `parse_value`, `from_int`, `element_at`, `name` and `size`.  A
+`Scalar` is a field and a raw value; each operator is a field check plus one
+call into the field.  `dot` is the sum of products that is one entry of a
+matrix product: it takes two sequences of scalars, sums the products of
+their raw values and wraps the result once.  The field also owns the
+scalars the harness samples: `unitary_scalars`, `non_unitary_scalars`,
+`has_non_unitary_scalar` and `random_scalar`.  A finite field walks its
+elements for the pools and draws uniformly; Q and Q(i) keep fixed pools and
+draw small numerators and denominators.  Ring flags (`f32`) and matrix-file
+ring headers (`fp2 3`) are parsed here too; every grammar here reads ASCII
+digits only.
+
+There is one field object per (kind, p): `FieldDescriptor(kind, p)` returns
+it, so two fields are equal exactly when they are the same object.
 
 All arithmetic is exact and every value is kept in a canonical form, so
 scalar equality is plain structural equality.  There are no tolerances
@@ -91,58 +95,51 @@ def _smallest_irreducible_quadratic(p: int) -> tuple[int, int]:
     return 0, c
 
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
-_GAUSSIAN_RE = re.compile(r"([+-]?\d+(?:/\d+)?)([+-]\d+(?:/\d+)?)i\Z")
-_GAUSSIAN_IMAG_RE = re.compile(r"([+-]?\d+(?:/\d+)?)i\Z")
-_QUADEXT_RE = re.compile(r"(\d+)\+(\d+)w\Z")
-_QUADEXT_OMEGA_RE = re.compile(r"(\d+)w\Z")
-_INT_RE = re.compile(r"[+-]?\d+\Z")
+# Scalar tokens: \d under re.ASCII is [0-9] only.
+_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?", re.ASCII)
+_GAUSSIAN_RE = re.compile(r"([+-]?\d+(?:/\d+)?)([+-]\d+(?:/\d+)?)i\Z", re.ASCII)
+_GAUSSIAN_IMAG_RE = re.compile(r"([+-]?\d+(?:/\d+)?)i\Z", re.ASCII)
+_QUADEXT_RE = re.compile(r"(\d+)\+(\d+)w\Z", re.ASCII)
+_QUADEXT_OMEGA_RE = re.compile(r"(\d+)w\Z", re.ASCII)
+_INT_RE = re.compile(r"[+-]?\d+\Z", re.ASCII)
+
+
+# The one field object of each (kind, p) made so far.
+_FIELDS: dict[tuple[FieldKind, int | None], "FieldDescriptor"] = {}
 
 
 class FieldDescriptor:
     """One of the four supported involutive fields.
 
-    ``FieldDescriptor(kind, p)`` builds the subclass for ``kind``.  Instances
-    are interned: ``FieldDescriptor.get(kind, p)`` returns the same object
-    for the same arguments, so scalar operations can compare fields by
-    identity.
+    ``FieldDescriptor(kind, p)`` is the only way to make a field.  It returns
+    the one object of the subclass for ``kind`` with modulus ``p``, built on
+    first use, so fields compare by identity: scalars and matrices of two
+    fields mix exactly when the fields are the same object.
     """
 
     kind: FieldKind
     modular = False  # True where the field takes a prime modulus p
     p = ext_b = ext_c = None
 
-    _cache: dict[tuple[FieldKind, int | None], "FieldDescriptor"] = {}
-
     def __new__(cls, kind: FieldKind, p: int | None = None):
-        return super().__new__(_FIELD_CLASSES[kind])
-
-    def __init__(self, kind: FieldKind, p: int | None = None):
-        if (p is None) == self.modular or (self.modular and not is_prime(p)):
-            raise ValueError(f"{kind.value} takes {'a prime' if self.modular else 'no'} "
+        field = _FIELDS.get((kind, p))
+        if field is not None:
+            return field
+        sub = _FIELD_CLASSES[kind]
+        # p must be an int: a float such as 37.0 passes is_prime and equals
+        # F_37's key
+        if not (isinstance(p, int) and is_prime(p) if sub.modular else p is None):
+            raise ValueError(f"{kind.value} takes {'a prime' if sub.modular else 'no'} "
                              f"modulus, got {p!r}")
-        self.p = p
+        field = super().__new__(sub)
+        field.p = p
+        if kind is FieldKind.QUAD_EXT:
+            field.ext_b, field.ext_c = _smallest_irreducible_quadratic(p)
+        # two threads building one field keep the object stored first
+        return _FIELDS.setdefault((kind, p), field)
 
-    @classmethod
-    def get(cls, kind: FieldKind, p: int | None = None) -> "FieldDescriptor":
-        key = (kind, p)
-        desc = cls._cache.get(key)
-        if desc is None:
-            desc = cls._cache[key] = cls(kind, p)
-        return desc
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldDescriptor)
-            and self.kind is other.kind
-            and self.p == other.p
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.p))
-
-    def __reduce__(self):  # copies and unpickled fields stay interned
-        return FieldDescriptor.get, (self.kind, self.p)
+    def __reduce__(self):  # copies and unpickled fields are the field itself
+        return FieldDescriptor, (self.kind, self.p)
 
     def __repr__(self):
         if self.p is None:
@@ -153,18 +150,6 @@ class FieldDescriptor:
         """Number of elements, or None for the infinite fields."""
         return None
 
-    def dot(self, xs, ys) -> "Scalar":
-        """The sum of x*y over two equal-length, non-empty sequences of
-        scalars of this field: one entry of a matrix product.
-
-        Q(i), F_p and F_{p^2} override it to sum on their raw values and
-        reduce once; this fold of `Scalar` products and sums serves Q alone.
-        """
-        acc = xs[0] * ys[0]
-        for x, y in zip(xs[1:], ys[1:]):
-            acc = acc + x * y
-        return acc
-
     # -- element construction ------------------------------------------------
 
     def zero(self) -> "Scalar":
@@ -172,11 +157,6 @@ class FieldDescriptor:
 
     def one(self) -> "Scalar":
         return self.from_int(1)
-
-    def _not_meaningful(self, *args):
-        raise ValueError(f"not meaningful over {self.name}")
-
-    rational = gaussian = residue_pair = _not_meaningful
 
     def element_at(self, index: int) -> "Scalar":
         """The index-th element in the fixed enumeration of a finite field."""
@@ -237,6 +217,13 @@ class RationalField(FieldDescriptor):
     name = "Q"
     # Builtins do not bind as methods: f.add(x, y) is operator.add(x, y).
     add, neg, mul, is_zero, token = operator.add, operator.neg, operator.mul, operator.not_, str
+
+    def dot(self, xs, ys):
+        # the products summed on the Fractions and wrapped once
+        acc = 0
+        for x, y in zip(xs, ys):
+            acc += x.value * y.value
+        return Scalar(self, acc)
 
     def inv(self, x):
         return 1 / x
@@ -435,10 +422,6 @@ class QuadExtField(FieldDescriptor):
     kind = FieldKind.QUAD_EXT
     modular = True
 
-    def __init__(self, kind: FieldKind, p: int | None = None):
-        super().__init__(kind, p)
-        self.ext_b, self.ext_c = _smallest_irreducible_quadratic(p)
-
     @property
     def name(self):
         return f"F_{self.p}^2"
@@ -498,15 +481,12 @@ class QuadExtField(FieldDescriptor):
         m = _QUADEXT_OMEGA_RE.fullmatch(token)
         if m:
             return (0, int(m.group(1)) % p)
-        if token.isdigit():
+        if token.isascii() and token.isdigit():
             return (int(token) % p, 0)
         raise ScalarParseError(token)
 
     def from_int(self, k):
         return Scalar(self, (k % self.p, 0))
-
-    def residue_pair(self, x, y):
-        return Scalar(self, (x % self.p, y % self.p))
 
     def element_at(self, index):
         if not 0 <= index < self.p * self.p:
@@ -542,7 +522,7 @@ class Scalar:
         )
 
     def __hash__(self):
-        return hash((self.field.kind, self.field.p, self.value))
+        return hash(self.value)
 
     def __repr__(self):
         return f"<{self.token()} over {self.field.name}>"
@@ -589,16 +569,16 @@ class Scalar:
         return self.field.token(self.value)
 
 
-RATIONAL = FieldDescriptor.get(FieldKind.RATIONAL)
-GAUSSIAN = FieldDescriptor.get(FieldKind.GAUSSIAN_RATIONAL)
+RATIONAL = FieldDescriptor(FieldKind.RATIONAL)
+GAUSSIAN = FieldDescriptor(FieldKind.GAUSSIAN_RATIONAL)
 
 
 def prime_field(p: int) -> FieldDescriptor:
-    return FieldDescriptor.get(FieldKind.PRIME, p)
+    return FieldDescriptor(FieldKind.PRIME, p)
 
 
 def quad_ext_field(p: int) -> FieldDescriptor:
-    return FieldDescriptor.get(FieldKind.QUAD_EXT, p)
+    return FieldDescriptor(FieldKind.QUAD_EXT, p)
 
 
 # -- ring text -----------------------------------------------------------------
@@ -616,7 +596,7 @@ def _prime(digits: str) -> int | None:
 def parse_ring(token: str) -> FieldDescriptor:
     """Ring flags: q, qi, f<p>, f<p>2 (e.g. f3 is F_3 and f32 is F_9)."""
     if token in ("q", "qi"):
-        return FieldDescriptor.get(FieldKind(token))
+        return FieldDescriptor(FieldKind(token))
     if token.startswith("f"):
         if (p := _prime(token[1:])) is not None:
             return prime_field(p)
@@ -630,8 +610,8 @@ def parse_ring_header(words: list[str]) -> FieldDescriptor:
     """The field of a matrix-file header 'ring <kind> [<p>] n=<dim>', from the
     words between 'ring' and 'n=<dim>': q, qi, fp <p> or fp2 <p>."""
     if words in (["q"], ["qi"]):
-        return FieldDescriptor.get(FieldKind(words[0]))
+        return FieldDescriptor(FieldKind(words[0]))
     if len(words) == 2 and words[0] in ("fp", "fp2") and (p := _prime(words[1])) is not None:
-        return FieldDescriptor.get(FieldKind(words[0]), p)
+        return FieldDescriptor(FieldKind(words[0]), p)
     raise RingParseError(f"unknown ring {' '.join(words)!r} (expected q, qi, fp <p> "
                          f"or fp2 <p> with p a prime below 3.3e24)")

@@ -16,10 +16,14 @@ METRICS = [
 ]
 
 
+def _run(rate, correct=True, failed=0, attempted=100):
+    # one side of a pair, shaped as run_bench returns it
+    return {"correct": correct, "attempted": attempted, "failed": failed,
+            "metrics": {"elements_per_s": rate, "latency_p50_ms": 1000 / rate}}
+
+
 def _pairs(parent, change):
-    return [{"parent": {"elements_per_s": p, "latency_p50_ms": 1000 / p},
-             "change": {"elements_per_s": c, "latency_p50_ms": 1000 / c}}
-            for p, c in zip(parent, change)]
+    return [{"parent": _run(p), "change": _run(c)} for p, c in zip(parent, change)]
 
 
 def test_quartiles_inclusive():
@@ -69,3 +73,33 @@ def test_regression_against_bound():
     s = bench_pairs.summarize(_pairs(parent, [85] * 4), METRICS)["elements_per_s"]
     assert s["worse_than_parent_by"] == pytest.approx(0.15)
     assert not s["within_bound"]
+
+
+def test_wrong_or_failing_runs_show_neither_gain_nor_bound():
+    parent = [20, 21, 19, 20, 22, 20, 21, 19, 20, 20]
+    change = [27, 28, 26, 27, 29, 27, 28, 26, 27, 28]
+    clean = bench_pairs.summarize(_pairs(parent, change), METRICS)
+    assert clean["elements_per_s"]["gain_shown"] and clean["elements_per_s"]["within_bound"]
+    assert clean["operations"] == {
+        "parent": {"correct": True, "attempted": 1000, "failed": 0},
+        "change": {"correct": True, "attempted": 1000, "failed": 0},
+        "unsound_pairs": []}
+    for k, side, run in ((3, "change", _run(27, correct=False)),
+                         (5, "parent", _run(20, correct=False)),
+                         (7, "change", _run(26, failed=2))):
+        pairs = _pairs(parent, change)
+        pairs[k][side] = run
+        s = bench_pairs.summarize(pairs, METRICS)
+        assert s["operations"]["unsound_pairs"] == [k]
+        assert s["operations"][side] == {"correct": run["correct"], "attempted": 1000,
+                                         "failed": run["failed"]}
+        for name in ("elements_per_s", "latency_p50_ms"):
+            assert not s[name]["gain_shown"] and not s[name]["within_bound"]
+    # the share of failures counts, not their number: twice the operations
+    # with twice the failures is no worse
+    pairs = _pairs(parent, change)
+    pairs[0]["parent"] = _run(20, failed=1)
+    pairs[0]["change"] = _run(27, failed=2, attempted=200)
+    s = bench_pairs.summarize(pairs, METRICS)
+    assert s["operations"]["unsound_pairs"] == []
+    assert s["elements_per_s"]["gain_shown"]

@@ -117,6 +117,25 @@ def test_invert_parse_failure_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--ring", "f5", "--matrix", "; ".join([" ".join("1" * 7)] * 7)],
+     "error: dimension 7 outside 1..6\n"),
+    (["--ring", "q", "--matrix", "\u0661"], "error: not a scalar over Q: '\u0661'\n"),
+    (["--ring", "qi", "--matrix", "1+\uff12i"], "error: not a scalar over Q(i): '1+\uff12i'\n"),
+], ids=["7x7-inline", "arabic-indic-digit", "fullwidth-digit"])
+def test_invert_inline_usage_error_exit_2(capsys, argv, message):
+    rc, out, err = run(capsys, "invert", *argv)
+    assert (rc, out, err) == (2, "", message)
+
+
+def test_header_dimension_needs_ascii_digits(capsys, tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("ring q n=\u0662\n1 0\n0 1\n", encoding="utf-8")
+    rc, out, err = run(capsys, "invert", "--in", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: bad header: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("ring", ["q", "f5"])
 def test_invert_oversized_token_exit_2(capsys, ring):
     # 4400 digits is past the interpreter's integer-string conversion limit

@@ -27,7 +27,7 @@ from starring.harness import (
     sweep,
 )
 from starring.matrix import Matrix, product_memo
-from starring.starfield import GAUSSIAN, RATIONAL, FieldDescriptor, prime_field, quad_ext_field
+from starring.starfield import GAUSSIAN, RATIONAL, prime_field, quad_ext_field
 from starring.theorems import Kind, Verdict, evaluate, registry, registry_map
 
 F2 = prime_field(2)
@@ -502,7 +502,7 @@ def test_l31_products_taken_once_per_e_and_pair(monkeypatch):
     # read entry by entry up to the first entry that differs
     spec = GeneratorSpec(Mode.RANDOM, RATIONAL, 2, sample_count=20, seed=7)
     check, multiply, dot = (harness_mod.check_left_right_duality, Matrix._product,
-                            FieldDescriptor.dot)
+                            type(RATIONAL).dot)
     inside = []
     counts = {"products": 0, "dots": 0}
     verdicts = []
@@ -526,7 +526,7 @@ def test_l31_products_taken_once_per_e_and_pair(monkeypatch):
 
     monkeypatch.setattr(harness_mod, "check_left_right_duality", duality)
     monkeypatch.setattr(Matrix, "_product", product)
-    monkeypatch.setattr(FieldDescriptor, "dot", counted_dot)
+    monkeypatch.setattr(type(RATIONAL), "dot", counted_dot)
     assert sweep(spec, ["X1"]).lemmas["L3.1"]["checked"] == 400
     assert counts["products"] == 0
     # the 400 checks read 1342 entries; building the three products in full

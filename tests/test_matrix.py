@@ -102,7 +102,7 @@ def test_equal_matrices_hash_equal_across_routes(field):
 
 def test_scale_and_neg():
     a = Matrix.from_ints(RATIONAL, [[1, 2], [3, 4]])
-    assert a.scale(RATIONAL.from_int(-1)) == -a
+    assert -a == Matrix.from_ints(RATIONAL, [[-1, -2], [-3, -4]])
     assert a - a == Matrix.zeros(RATIONAL, 2)
 
 
@@ -384,6 +384,8 @@ def test_text_round_trip(a):
     "ring q n=2\n1 1",
     "ring q n=2\n1 1\n1",
     "ring q n=0\n",
+    "ring q n=\u0662\n1 1\n1 1",  # an Arabic-Indic two
+    "ring q n=+2\n1 1\n1 1",
     "ring fp n=2\n1 1\n1 1",
     "ring fp 4 n=2\n1 1\n1 1",
     "matrix q n=2\n1 1\n1 1",
@@ -400,3 +402,5 @@ def test_parse_inline():
         parse_inline(RATIONAL, "1 2; 3")
     with pytest.raises(MatrixParseError):
         parse_inline(RATIONAL, "")
+    with pytest.raises(MatrixParseError, match=r"^dimension 7 outside 1\.\.6$"):
+        parse_inline(RATIONAL, "; ".join(["1 0 0 0 0 0 0"] * 7))

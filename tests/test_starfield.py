@@ -4,11 +4,14 @@ import copy
 import math
 import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from starring.matrix import Matrix
 from starring.starfield import (
     FieldDescriptor,
     FieldKind,
@@ -75,7 +78,7 @@ def test_quadext_mul_matches_polynomial_oracle():
         quad = b * d
         return ((a * c - quad * c0) % p, (lin - quad * b0) % p)
 
-    omega = F4.residue_pair(0, 1)
+    omega = F4.parse("1w")
     assert oracle((0, 1), (0, 1)) == (1, 1)
     assert (omega * omega).value == (1, 1)
     for u in F4.elements():
@@ -191,7 +194,7 @@ def test_inv_of_zero_raises():
 def test_star_examples():
     assert GAUSSIAN.gaussian(3, 4, 5, 5).star().token() == "3/5-4/5i"
     assert F11.from_int(7).star() == F11.from_int(7)
-    assert F4.residue_pair(0, 1).star().token() == "1+1w"
+    assert F4.parse("1w").star().token() == "1+1w"
 
 
 @pytest.mark.parametrize("field", [F4, F9, F25])
@@ -263,8 +266,8 @@ def test_parse_reduces_to_canonical_form():
     assert F3.parse("-1") == F3.from_int(2)
     assert RATIONAL.parse("4/6") == RATIONAL.rational(2, 3)
     assert GAUSSIAN.parse("2/4+2/2i") == GAUSSIAN.gaussian(1, 1, 2, 1)
-    assert F4.parse("1w") == F4.residue_pair(0, 1)
-    assert F4.parse("1") == F4.residue_pair(1, 0)
+    assert F4.parse("1w") == Scalar(F4, (0, 1))
+    assert F4.parse("1") == Scalar(F4, (1, 0))
 
 
 @pytest.mark.parametrize("field,token", [
@@ -275,6 +278,15 @@ def test_parse_reduces_to_canonical_form():
     (F3, "1/2"),
     (F4, "1+2"),
     (F4, "w+1"),
+    # digits outside ASCII: Arabic-Indic one and two, a fullwidth three
+    (RATIONAL, "\u0661"),
+    (RATIONAL, "1/\u0662"),
+    (GAUSSIAN, "1+\u0661i"),
+    (GAUSSIAN, "\u0662i"),
+    (F3, "\uff13"),
+    (F4, "\u0661"),
+    (F4, "1+\u0661w"),
+    (F4, "\u0661w"),
 ])
 def test_parse_rejects_bad_tokens(field, token):
     with pytest.raises(ScalarParseError):
@@ -296,15 +308,53 @@ def test_descriptor_validation():
             FieldDescriptor(FieldKind.QUAD_EXT, bad)
     with pytest.raises(ValueError):
         FieldDescriptor(FieldKind.RATIONAL, 3)
+    # a float equal to a small prime, before any test builds F_37
+    with pytest.raises(ValueError):
+        FieldDescriptor(FieldKind.PRIME, 37.0)
+    assert prime_field(37).name == "F_37"
 
 
 def test_descriptor_interning():
+    # the constructor returns the factory's field, the one object per (kind, p)
+    for field in (RATIONAL, GAUSSIAN, prime_field(3), quad_ext_field(3)):
+        assert FieldDescriptor(field.kind, field.p) is field
+    built = FieldDescriptor(FieldKind.PRIME, 3)
+    a = Matrix.from_ints(built, [[1, 2], [0, 1]])
+    b = Matrix.from_ints(prime_field(3), [[1, 2], [0, 1]])
+    assert a == b and a * b == Matrix.from_ints(F3, [[1, 1], [0, 1]])
     assert prime_field(3) is prime_field(3)
     assert quad_ext_field(2) is quad_ext_field(2)
     assert prime_field(3) is not prime_field(7)
     for field in ALL_FIELDS:
         assert pickle.loads(pickle.dumps(field)) is field
         assert copy.deepcopy(field.one()).field is field
+
+
+def test_threads_building_one_field_get_one_object():
+    # primes no other test builds, so each is first made here, by every
+    # thread at once; a lost race would hand two threads different objects
+    primes = [p for p in range(10**6 + 1, 10**6 + 200, 2) if is_prime(p)]
+    workers = 8
+    barrier = threading.Barrier(workers)
+    got = [None] * workers
+
+    def build(k):
+        barrier.wait(timeout=10)
+        got[k] = [FieldDescriptor(FieldKind.QUAD_EXT, p) for p in primes]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for p, fields in zip(primes, zip(*got)):
+        assert all(f is quad_ext_field(p) for f in fields)
 
 
 def test_enumeration_order():
