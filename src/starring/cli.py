@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .classify import classify
@@ -240,15 +241,28 @@ def _add_matrix_flags(p):
                    help="q | qi | f<p> | f<p>2 (needed with --matrix)")
 
 
+def _decimal(pattern: str):
+    """An argparse type: the int of a value that fully matches pattern, whose
+    digits are ASCII [0-9] (int() would also take other scripts' digits,
+    underscores and surrounding spaces)."""
+    form = re.compile(pattern)
+
+    def parse(text: str) -> int:
+        if form.fullmatch(text) is None:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a decimal number")
+        return int(text)
+    return parse
+
+
 def _add_generator_flags(p):
     p.add_argument("--ring", metavar="RING", help="q | qi | f<p> | f<p>2")
-    p.add_argument("--dim", type=int, metavar="N")
+    p.add_argument("--dim", type=_decimal("[0-9]+"), metavar="N")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--random", action="store_true")
     mode.add_argument("--constructed", choices=["sep", "ep", "pi"])
-    p.add_argument("--seed", type=int, metavar="S")
-    p.add_argument("--count", type=int, default=0, metavar="K")
+    p.add_argument("--seed", type=_decimal("-?[0-9]+"), metavar="S")
+    p.add_argument("--count", type=_decimal("[0-9]+"), default=0, metavar="K")
 
 
 def build_parser() -> argparse.ArgumentParser:

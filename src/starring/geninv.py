@@ -1,6 +1,8 @@
 """Moore-Penrose and group inverses, with equation-level oracles.
 
-Both inverses are computed from a full-rank factorization A = F G:
+An invertible A has A^+ = A^# = A^-1 (Penrose 1955), read from the same
+Gauss-Jordan reduction of [A | I] that gives its rank.  A singular nonzero A
+takes a full-rank factorization A = F G:
 
 * MP inverse: M = F* A G* is invertible exactly when A is MP-invertible,
   and then A^+ = G* M^-1 F*.
@@ -55,6 +57,8 @@ def mp_inverse(a: Matrix) -> Matrix | None:
     if a.is_zero():
         return a
     fact = a.full_rank_factorize()
+    if fact.rank == a.n:
+        return a.try_invert()
     f_star = fact.f.star()
     g_star = fact.g.star()
     m = f_star * a * g_star
@@ -69,6 +73,8 @@ def group_inverse(a: Matrix) -> Matrix | None:
     if a.is_zero():
         return a
     fact = a.full_rank_factorize()
+    if fact.rank == a.n:
+        return a.try_invert()
     gf = fact.g * fact.f
     gf_inv = gf.try_invert()
     if gf_inv is None:

@@ -197,13 +197,25 @@ class Matrix:
     # -- elimination ------------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
-        """Reduced row echelon form, rank and pivot columns, by exact Gauss-Jordan."""
-        return _recall(("rref", self), Matrix._reduction, self)
+        """Reduced row echelon form, rank and pivot columns, by exact Gauss-Jordan.
 
-    def _reduction(self) -> tuple["Matrix", int, tuple[int, ...]]:
-        rows = [list(r) for r in self.rows]
-        pivots = _gauss_jordan(rows, self.ncols)
-        return Matrix(self.field, rows), len(pivots), tuple(pivots)
+        Read from the one reduction of [A | I] that `try_invert` reads too.
+        """
+        return _recall(("rref", self), Matrix._reduction, self)[0]
+
+    def _reduction(self) -> tuple[tuple["Matrix", int, tuple[int, ...]], "Matrix | None"]:
+        """Gauss-Jordan on [A | I]: the left half ends as rref(A) (the row
+        operations span whole rows, so the right half changes no pivot), and
+        when A is square of full rank the right half ends as A^-1."""
+        m, n = self.nrows, self.ncols
+        one, zero = self.field.one(), self.field.zero()
+        rows = [list(r) + [one if i == j else zero for j in range(m)]
+                for i, r in enumerate(self.rows)]
+        pivots = _gauss_jordan(rows, n)
+        reduced = Matrix._unchecked(self.field, tuple([tuple(r[:n]) for r in rows]))
+        inverse = (Matrix._unchecked(self.field, tuple([tuple(r[n:]) for r in rows]))
+                   if len(pivots) == m == n else None)
+        return (reduced, len(pivots), tuple(pivots)), inverse
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -223,14 +235,10 @@ class Matrix:
         return RankFactorization(f, g, rank)
 
     def try_invert(self) -> "Matrix | None":
-        """Two-sided inverse of a square matrix, or None when rank < n."""
-        n = self.n
-        eye = Matrix.identity(self.field, n).rows
-        # Gauss-Jordan on [A | I]: the right half ends as the inverse.
-        rows = [list(r) + list(e) for r, e in zip(self.rows, eye)]
-        if len(_gauss_jordan(rows, n)) < n:
-            return None
-        return Matrix(self.field, [r[n:] for r in rows])
+        """Two-sided inverse of a square matrix, or None when rank < n: the
+        right half of the reduction of [A | I] that `rref` reads."""
+        self.n  # square only
+        return _recall(("rref", self), Matrix._reduction, self)[1]
 
     # -- text format -----------------------------------------------------------
 

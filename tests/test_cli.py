@@ -354,6 +354,28 @@ def test_dim_zero_is_out_of_range_not_missing(capsys):
     assert rc == 2 and err == "error: --dim is required\n"
 
 
+@pytest.mark.parametrize("flag, value", [
+    *((flag, value) for flag in ("--dim", "--seed", "--count")
+      for value in ("\u0662", "2_0", "\uff13", " 2 ", "+2", "-")),
+    ("--dim", "-2"), ("--count", "-2")])
+def test_numeric_flags_take_ascii_digits_only(capsys, flag, value):
+    # int() reads Arabic-Indic two, 2_0 as 20, fullwidth three and " 2 ";
+    # the last occurrence of a flag is the one argparse keeps
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--ring", "f2", "--random", "--dim=2", "--seed=1", "--count=3",
+              f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {value!r} is not a decimal number" in capsys.readouterr().err
+
+
+def test_seed_may_be_negative(capsys):
+    rc, out, _ = run(capsys, "enumerate", "--ring", "f5", "--dim", "2", "--random",
+                     "--seed", "-3", "--count", "2")
+    spec = harness_mod.GeneratorSpec(harness_mod.Mode.RANDOM, parse_ring("f5"), 2,
+                                     sample_count=2, seed=-3)
+    assert rc == 0 and out == "\n\n".join(m.to_text() for m in harness_mod.generate(spec)) + "\n"
+
+
 def test_verify_counterexample_exit_1(capsys, monkeypatch):
     broken = TheoremEntry("T2.1", Kind.SEP, "always false", lambda b: False)
     monkeypatch.setattr(harness_mod, "registry", lambda: [broken])

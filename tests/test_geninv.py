@@ -185,6 +185,31 @@ def test_rank_criteria_on_f4():
 
 # -- uniqueness and involution interplay -----------------------------------------------
 
+def _factorization_inverses(a):
+    """G* (F* A G*)^-1 F* and F (G F)^-2 G from a's full-rank factorization."""
+    fact = a.full_rank_factorize()
+    f, g = fact.f, fact.g
+    mp = g.star() * (f.star() * a * g.star()).try_invert() * f.star()
+    gf_inv = (g * f).try_invert()
+    return mp, f * gf_inv * gf_inv * g
+
+
+@pytest.mark.parametrize("spec, invertible", [
+    (GeneratorSpec(Mode.EXHAUSTIVE, F3, 2), 48),
+    (GeneratorSpec(Mode.EXHAUSTIVE, F4, 2), 180),
+    (GeneratorSpec(Mode.RANDOM, GAUSSIAN, 3, sample_count=20, seed=104), 20),
+], ids=["M2(F3)", "M2(F4)", "random-Q(i)-dim3"])
+def test_invertible_inverses_match_factorization_formulas(spec, invertible):
+    # an invertible element takes both inverses from its reduction of [A | I];
+    # the factorization formulas stay an oracle for them
+    inverses = [(a, a.try_invert()) for a in generate(spec)]
+    inverses = [(a, inverse) for a, inverse in inverses if inverse is not None]
+    assert len(inverses) == invertible  # |GL_2(F_q)| = (q^2 - 1)(q^2 - q)
+    for a, inverse in inverses:
+        mp, group = _factorization_inverses(a)
+        assert mp == group == inverse == mp_inverse(a) == group_inverse(a), a
+
+
 def rand_matrix(field, n, rng):
     if field is RATIONAL:
         return Matrix(field, [[field.rational(rng.randint(-3, 3), rng.randint(1, 3))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 import sys
 import threading
 import time
@@ -9,6 +10,7 @@ import time
 import pytest
 
 import starring.harness as harness_mod
+import starring.matrix as matrix_mod
 import starring.theorems as theorems_mod
 from starring.classify import classify
 from starring.geninv import (InverseBundle, group_inverse, mp_inverse, verify_group,
@@ -464,17 +466,25 @@ def test_memo_recalls_row_reductions(monkeypatch):
     plain, again = a.rref(), a.rref()
     # outside a memo nothing is cached: each call reduces afresh
     assert again == plain and again is not plain and len(reductions) == 2
+    # a has rank 1, so each inverse reduces a for its factorization and
+    # inverts its 1x1 core (F* A G* = [1], G F = [2]) by one more reduction
     mp_inverse(a), group_inverse(a)
-    assert len(reductions) == 4
+    assert reductions[2:] == [a, Matrix.from_ints(F3, [[1]]),
+                              a, Matrix.from_ints(F3, [[2]])]
     with product_memo():
         # both inverses factor a through one reduction, which an equal
-        # matrix shares
+        # matrix shares; each 1x1 core is reduced once
         assert mp_inverse(a) == a and group_inverse(a) == a
         assert twin.rref() is a.rref() and a.rref() == plain
-        assert len(reductions) == 5
+        assert len(reductions) == 9
         assert a.rank() == 1 and Matrix.identity(F3, 2).rank() == 2
-        assert len(reductions) == 6
-    assert a.rref() is not a.rref() and len(reductions) == 8
+        assert len(reductions) == 10
+        # rref, try_invert and both inverses of an invertible matrix read
+        # that one reduction of [A | I]
+        i2 = Matrix.identity(F3, 2)
+        assert i2.try_invert() is mp_inverse(i2) is group_inverse(i2) == i2
+        assert a.try_invert() is None and len(reductions) == 10
+    assert a.rref() is not a.rref() and len(reductions) == 12
 
 
 def test_memo_keeps_fields_and_operations_apart():
@@ -567,8 +577,39 @@ def test_entry_products_shared_through_the_memo(monkeypatch):
     report = sweep(spec, "all")
     assert report.totals["bothInvertible"] == 73 and report.totals["sep"] == 17
     # 11,008 with one hand-written function per entry and no product kept
-    # from a comparison; 10,772 with C2.10 read left to right like C2.7
-    assert len(dots) == 10872
+    # from a comparison; 10,772 with C2.10 read left to right like C2.7;
+    # 10,872 while invertible elements took their inverses through the
+    # factorization formulas: the entries' own dots were 228 fewer, since
+    # they found in the memo products the formulas had taken (a* a among
+    # them, F* A for an invertible a, whose F is a), and the derived builds
+    # inside evaluate took 140 more, in the formulas for a^# and a^+
+    assert len(dots) == 10960
+
+
+def test_gauss_jordan_runs_per_sweep(monkeypatch):
+    # one reduction of [A | I] per distinct matrix in an element's memo serves
+    # its rank, factorization and inverse: an invertible element and its
+    # inverse (reduced for the derived elements) take one pass each.  960 and
+    # 1,305 when rref and try_invert each ran their own pass and invertible
+    # elements took their inverses through the factorization formulas.
+    eliminate = matrix_mod._gauss_jordan
+    runs = []
+
+    def counted(rows, ncols):
+        runs.append(ncols)
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(matrix_mod, "_gauss_jordan", counted)
+    rng = random.Random(1)  # the eight streams of bench sweep-qi-random, seed 1
+    specs = [GeneratorSpec(Mode.RANDOM, GAUSSIAN, 3, sample_count=20,
+                           seed=rng.randrange(2**32)) for _ in range(8)]
+    totals = [sweep(spec, "all").totals for spec in specs]
+    assert sum(t["bothInvertible"] for t in totals) == 160
+    assert len(runs) == 320
+    runs.clear()
+    report = sweep(GeneratorSpec(Mode.EXHAUSTIVE, F4, 2), "all")
+    assert report.totals["bothInvertible"] == 187
+    assert len(runs) == 566
 
 
 def test_scalar_pools_built_once_per_stream(monkeypatch):
