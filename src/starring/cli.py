@@ -9,9 +9,10 @@ accept, so printed matrices can be fed straight back in.
 
 `verify` holds its whole element stream in memory and walks it once, with
 one product memo per element: about 0.2 KB per M_2 element and 0.3 to
-0.4 KB per M_3 or M_4 element, so about 200 MB for the largest exhaustive
-stream the budget admits, M_2(F_31); a `--count` above the same budget of
-10^6 exits 2.  The named sweeps of the verification battery are
+0.4 KB per M_3 or M_4 element (matrices hold raw values, shared across an
+exhaustive stream), so about 200 MB for the largest exhaustive stream the
+budget admits, M_2(F_31); a `--count` above the same budget of 10^6
+exits 2.  The named sweeps of the verification battery are
 `starring.harness.BATTERY`.
 """
 

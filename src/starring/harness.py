@@ -316,8 +316,9 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
     The stream is drawn once and held in memory as a list, which the
     projection scan and the element loop read: about 0.2 KB per M_2 element
     over F_31 and 0.3 to 0.4 KB per M_3(F_3) or M_4(F_2) element, since an
-    exhaustive stream's matrices share the field's scalar objects, so about
-    200 MB at the EXHAUSTIVE_BUDGET ceiling, M_2(F_31).
+    exhaustive stream's matrices share one raw value object per field
+    element and keep no Scalar, so about 200 MB at the EXHAUSTIVE_BUDGET
+    ceiling, M_2(F_31).
 
     The stream is walked once.  Each element's InverseBundle.compute,
     registry entries, derived elements, L2.8 checks and the L3.1 pairs

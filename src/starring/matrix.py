@@ -5,6 +5,12 @@ public ring interface is square-only; rectangular shapes appear solely as the
 two factors of a full-rank factorization.  All operations are pure and
 matrices are immutable, so values can be shared freely.
 
+A matrix holds its field and its entries as the field's raw values.
+Products, sums, differences, negations, comparisons, equality and hashing
+compute on them through the field's rules and build their results without
+checking each entry again; elimination and the adjoint compute on the
+Scalar view `rows` and unwrap their results.
+
 Inside a `product_memo()` block, products, differences, negations, adjoints
 and row reductions are remembered by the value of their operands, so asking
 again for one, on the same or on equal matrices, returns the stored result;
@@ -21,8 +27,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter, eq
+from itertools import chain, product, starmap
+from operator import eq
 
 from .starfield import (FieldDescriptor, FieldMismatchError, Scalar, ScalarParseError,
                         parse_ring_header)
@@ -40,9 +46,10 @@ class MatrixParseError(ValueError):
 
 
 class Matrix:
-    """An immutable rows-of-scalars grid over a single field."""
+    """An immutable grid of raw values over a single field: `values[i][j]`
+    is entry (i, j) in the field's canonical form, and `rows[i][j]` as a Scalar."""
 
-    __slots__ = ("field", "rows", "_hash")
+    __slots__ = ("field", "values", "_hash")
 
     def __init__(self, field: FieldDescriptor, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -53,21 +60,25 @@ class Matrix:
             raise ShapeError("ragged rows")
         if len(rows) > MAX_DIMENSION or ncols > MAX_DIMENSION:
             raise ShapeError(f"dimension above the configured cap {MAX_DIMENSION}")
-        for r in rows:
-            for e in r:
-                if e.field is not field:
-                    raise FieldMismatchError("entry from a different field")
+        if any(e.field is not field for r in rows for e in r):
+            raise FieldMismatchError("entry from a different field")
         self.field = field
-        self.rows = rows
+        self.values = tuple([tuple([e.value for e in r]) for r in rows])
         self._hash = None
 
     @classmethod
-    def _unchecked(cls, field: FieldDescriptor, rows: tuple) -> "Matrix":
-        # rows that already pass __init__'s checks: a non-empty tuple of
-        # equal-length, non-empty tuples within the cap, of scalars of field
+    def _unchecked(cls, field: FieldDescriptor, values: tuple) -> "Matrix":
+        # values that already pass __init__'s checks: a non-empty tuple of
+        # equal-length, non-empty tuples within the cap, of raw values of field
         m = object.__new__(cls)
-        m.field, m.rows, m._hash = field, rows, None
+        m.field, m.values, m._hash = field, values, None
         return m
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as Scalars: a view built on each read and not kept."""
+        field = self.field
+        return tuple([tuple([Scalar(field, v) for v in r]) for r in self.values])
 
     # -- constructors -------------------------------------------------------
 
@@ -77,8 +88,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: FieldDescriptor, n: int) -> "Matrix":
-        one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls.diagonal(field, [field.one()] * n)
 
     @classmethod
     def zeros(cls, field: FieldDescriptor, nrows: int, ncols: int | None = None) -> "Matrix":
@@ -88,21 +98,19 @@ class Matrix:
 
     @classmethod
     def diagonal(cls, field: FieldDescriptor, entries) -> "Matrix":
-        entries = list(entries)
-        zero = field.zero()
-        n = len(entries)
-        return cls(field, [[entries[i] if i == j else zero for j in range(n)]
-                           for i in range(n)])
+        entries, zero = list(entries), field.zero()
+        return cls(field, [[e if i == j else zero for j in range(len(entries))]
+                           for i, e in enumerate(entries)])
 
     # -- shape ----------------------------------------------------------------
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.values)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0])
+        return len(self.values[0])
 
     @property
     def n(self) -> int:
@@ -111,28 +119,24 @@ class Matrix:
         return self.nrows
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field is other.field
-            and self.rows == other.rows
-        )
+        return (isinstance(other, Matrix) and self.field is other.field
+                and self.values == other.values)
 
     def __hash__(self):
-        # the raw values alone (Fractions, ints or tuples of ints): __eq__
-        # also asks for the same field, and hashing the Scalar wrappers and
-        # their field costs a call per entry.  Kept in a slot on first use,
-        # since the product memo keys on matrices by value and hashes each
-        # operand at every lookup.
+        # the raw values alone: __eq__ also asks for the same field.  Kept in
+        # a slot on first use, since the product memo keys on matrices by
+        # value and hashes each operand at every lookup.
         if self._hash is None:
-            self._hash = hash(tuple(e.value for row in self.rows for e in row))
+            self._hash = hash(self.values)
         return self._hash
 
     def __repr__(self):
-        body = "; ".join(" ".join(e.token() for e in row) for row in self.rows)
+        token = self.field.token
+        body = "; ".join(" ".join(map(token, row)) for row in self.values)
         return f"<[{body}] over {self.field.name}>"
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.rows for e in row)
+        return all(map(self.field.is_zero, chain.from_iterable(self.values)))
 
     def _check(self, other: "Matrix", same_shape=True):
         if self.field is not other.field:
@@ -140,26 +144,28 @@ class Matrix:
         if same_shape and (self.nrows != other.nrows or self.ncols != other.ncols):
             raise ShapeError(f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
 
+    def _entrywise(self, rule, other: "Matrix") -> "Matrix":
+        self._check(other)
+        return Matrix._unchecked(self.field, tuple([tuple(map(rule, ra, rb)) for ra, rb
+                                                    in zip(self.values, other.values)]))
+
     # -- ring arithmetic ------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        return Matrix(self.field, [[a + b for a, b in zip(ra, rb)]
-                                   for ra, rb in zip(self.rows, other.rows)])
+        return self._entrywise(self.field.add, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return _recall(("-", self, other), Matrix._difference, self, other)
 
     def _difference(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        return Matrix(self.field, [[a - b for a, b in zip(ra, rb)]
-                                   for ra, rb in zip(self.rows, other.rows)])
+        return self._entrywise(self.field.sub, other)
 
     def __neg__(self) -> "Matrix":
         return _recall(("-", self), Matrix._negation, self)
 
     def _negation(self) -> "Matrix":
-        return Matrix(self.field, [[-a for a in row] for row in self.rows])
+        neg = self.field.neg
+        return Matrix._unchecked(self.field, tuple([tuple(map(neg, r)) for r in self.values]))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         return _recall((self, other), Matrix._product, self, other)
@@ -167,16 +173,17 @@ class Matrix:
     def _product(self, other: "Matrix") -> "Matrix":
         dot, cols = self._factors(other)
         return Matrix._unchecked(self.field, tuple([tuple([dot(row, col) for col in cols])
-                                                    for row in self.rows]))
+                                                    for row in self.values]))
 
     def _factors(self, other: "Matrix"):
         """The entry rule and the columns of other for the product self other:
-        entry (i, j) is dot(self.rows[i], cols[j]).  Raises what the product
-        raises on operands of different fields or unmatched shapes."""
+        entry (i, j) is dot(self.values[i], cols[j]), a raw value.  Raises
+        what the product raises on operands of different fields or unmatched
+        shapes."""
         self._check(other, same_shape=False)
-        if len(self.rows[0]) != len(other.rows):
+        if len(self.values[0]) != len(other.values):
             raise ShapeError(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        return self.field.dot, list(zip(*other.rows))
+        return self.field.dot, list(zip(*other.values))
 
     def __pow__(self, k: int) -> "Matrix":
         if k < 1:
@@ -191,8 +198,9 @@ class Matrix:
         return _recall(self, Matrix._adjoint, self)
 
     def _adjoint(self) -> "Matrix":
-        return Matrix(self.field, [[self.rows[j][i].star() for j in range(self.nrows)]
-                                   for i in range(self.ncols)])
+        rows = self.rows
+        return Matrix._unchecked(self.field, tuple([tuple([r[i].star().value for r in rows])
+                                                    for i in range(self.ncols)]))
 
     # -- elimination ------------------------------------------------------------
 
@@ -212,8 +220,9 @@ class Matrix:
         rows = [list(r) + [one if i == j else zero for j in range(m)]
                 for i, r in enumerate(self.rows)]
         pivots = _gauss_jordan(rows, n)
-        reduced = Matrix._unchecked(self.field, tuple([tuple(r[:n]) for r in rows]))
-        inverse = (Matrix._unchecked(self.field, tuple([tuple(r[n:]) for r in rows]))
+        values = [tuple([e.value for e in r]) for r in rows]
+        reduced = Matrix._unchecked(self.field, tuple([r[:n] for r in values]))
+        inverse = (Matrix._unchecked(self.field, tuple([r[n:] for r in values]))
                    if len(pivots) == m == n else None)
         return (reduced, len(pivots), tuple(pivots)), inverse
 
@@ -229,9 +238,9 @@ class Matrix:
         if self.is_zero():
             raise ValueError("zero matrix has no full-rank factorization")
         reduced, rank, pivots = self.rref()
-        f = Matrix(self.field, [[self.rows[i][j] for j in pivots]
-                                for i in range(self.nrows)])
-        g = Matrix(self.field, reduced.rows[:rank])
+        f = Matrix._unchecked(self.field, tuple([tuple([r[j] for j in pivots])
+                                                 for r in self.values]))
+        g = Matrix._unchecked(self.field, reduced.values[:rank])
         return RankFactorization(f, g, rank)
 
     def try_invert(self) -> "Matrix | None":
@@ -250,12 +259,12 @@ class Matrix:
 
     def to_text(self) -> str:
         """Header line plus n rows of whitespace-separated scalar tokens."""
-        lines = [self.header()]
-        lines += [" ".join(e.token() for e in row) for row in self.rows]
-        return "\n".join(lines)
+        token = self.field.token
+        return "\n".join([self.header(), *(" ".join(map(token, row)) for row in self.values)])
 
     def to_tokens(self) -> list[list[str]]:
-        return [[e.token() for e in row] for row in self.rows]
+        token = self.field.token
+        return [list(map(token, row)) for row in self.values]
 
 
 # The open memo of this context: one dict from an operation and its operands,
@@ -277,9 +286,6 @@ def _recall(key, compute, *operands):
     return result
 
 
-_VALUE = attrgetter("value")
-
-
 def products_equal(lhs, rhs) -> bool:
     """lhs == rhs, where each side is a Matrix or a pair (x, y) standing for
     the product x y, without building a product that is only compared.
@@ -298,25 +304,24 @@ def products_equal(lhs, rhs) -> bool:
     if field is not other_field or shape != other_shape:
         return False
     # equal shapes, so map reads every entry of both sides; one field, so
-    # entries are equal exactly when their values are
-    equal = all(map(eq, map(_VALUE, left), map(_VALUE, right)))
+    # entries are equal exactly when their raw values are
+    equal = all(map(eq, left, right))
     if equal and memo is not None and (left_built is None) != (right_built is None):
         memo[tuple(lhs if left_built is None else rhs)] = left_built or right_built
     return equal
 
 
 def _entries(side, memo):
-    """The field, shape and row-order entries of a Matrix or of a pair's
+    """The field, shape and row-order raw entries of a Matrix or of a pair's
     product, and their Matrix, or None for a product computed as it is read."""
     if not isinstance(side, Matrix):
         x, y = side
         side = memo.get((x, y)) if memo is not None else None
         if side is None:
             dot, cols = x._factors(y)
-            rows = x.rows
-            return (x.field, (len(rows), len(cols)),
-                    map(dot, [row for row in rows for _ in cols], cols * len(rows)), None)
-    rows = side.rows
+            return (x.field, (len(x.values), len(cols)),
+                    starmap(dot, product(x.values, cols)), None)
+    rows = side.values
     return side.field, (len(rows), len(rows[0])), chain.from_iterable(rows), side
 
 

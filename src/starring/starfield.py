@@ -6,18 +6,18 @@ identity on the rationals and on F_p, complex conjugation on the Gaussian
 rationals, and the Frobenius map s -> s^p on F_{p^2}.
 
 Each family is one subclass of `FieldDescriptor` holding all the rules for
-its raw values: `add`, `neg`, `mul`, `dot`, `inv`, `star`, `is_zero`,
+its raw values: `add`, `sub`, `neg`, `mul`, `dot`, `inv`, `star`, `is_zero`,
 `token`, `parse_value`, `from_int`, `element_at`, `name` and `size`.  A
 `Scalar` is a field and a raw value; each operator is a field check plus one
-call into the field.  `dot` is the sum of products that is one entry of a
-matrix product: it takes two sequences of scalars, sums the products of
-their raw values and wraps the result once.  The field also owns the
-scalars the harness samples: `unitary_scalars`, `non_unitary_scalars`,
-`has_non_unitary_scalar` and `random_scalar`.  A finite field walks its
-elements for the pools and draws uniformly; Q and Q(i) keep fixed pools and
-draw small numerators and denominators.  Ring flags (`f32`) and matrix-file
-ring headers (`fp2 3`) are parsed here too; every grammar here reads ASCII
-digits only.
+call into the field; a `Matrix` holds raw values and calls the rules
+directly.  `dot` is the sum of products that is one entry of a matrix
+product: it takes two sequences of raw values and returns the raw value of
+their sum of products.  The field also owns the scalars the harness samples:
+`unitary_scalars`, `non_unitary_scalars`, `has_non_unitary_scalar` and
+`random_scalar`.  A finite field walks its elements for the pools and draws
+uniformly; Q and Q(i) keep fixed pools and draw small numerators and
+denominators.  Ring flags (`f32`) and matrix-file ring headers (`fp2 3`)
+are parsed here too; every grammar here reads ASCII digits only.
 
 There is one field object per (kind, p): `FieldDescriptor(kind, p)` returns
 it, so two fields are equal exactly when they are the same object.
@@ -150,6 +150,9 @@ class FieldDescriptor:
         """Number of elements, or None for the infinite fields."""
         return None
 
+    def sub(self, x, y):  # Q and F_{p^2} have their own
+        return self.add(x, self.neg(y))
+
     # -- element construction ------------------------------------------------
 
     def zero(self) -> "Scalar":
@@ -216,14 +219,12 @@ class RationalField(FieldDescriptor):
     kind = FieldKind.RATIONAL
     name = "Q"
     # Builtins do not bind as methods: f.add(x, y) is operator.add(x, y).
-    add, neg, mul, is_zero, token = operator.add, operator.neg, operator.mul, operator.not_, str
+    add, sub, neg, mul = operator.add, operator.sub, operator.neg, operator.mul
+    is_zero, token = operator.not_, str
 
     def dot(self, xs, ys):
-        # the products summed on the Fractions and wrapped once
-        acc = 0
-        for x, y in zip(xs, ys):
-            acc += x.value * y.value
-        return Scalar(self, acc)
+        # the products summed on the Fractions (a matrix row is never empty)
+        return sum(map(operator.mul, xs, ys))
 
     def inv(self, x):
         return 1 / x
@@ -301,8 +302,8 @@ class GaussianField(FieldDescriptor):
         # added straight on when mn is already d, and reduced once at the end
         re, im, d = 0, 0, 1
         for x, y in zip(xs, ys):
-            p, q, m = x.value
-            r, s, n = y.value
+            p, q, m = x
+            r, s, n = y
             e = m * n
             if e == d:
                 re += p * r - q * s
@@ -310,7 +311,7 @@ class GaussianField(FieldDescriptor):
             else:
                 re, im = re * e + (p * r - q * s) * d, im * e + (p * s + q * r) * d
                 d *= e
-        return Scalar(self, _reduced(re, im, d))
+        return _reduced(re, im, d)
 
     def inv(self, x):
         # 1/((p + qi)/m) = m(p - qi)/(p^2 + q^2)
@@ -391,10 +392,7 @@ class PrimeField(FieldDescriptor):
 
     def dot(self, xs, ys):
         # the products summed on the integers and reduced once
-        acc = 0
-        for x, y in zip(xs, ys):
-            acc += x.value * y.value
-        return Scalar(self, acc % self.p)
+        return sum(map(operator.mul, xs, ys)) % self.p
 
     def inv(self, x):
         return pow(x, self.p - 2, self.p)
@@ -432,6 +430,9 @@ class QuadExtField(FieldDescriptor):
     def add(self, x, y):
         return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)
 
+    def sub(self, x, y):
+        return ((x[0] - y[0]) % self.p, (x[1] - y[1]) % self.p)
+
     def neg(self, x):
         return (-x[0] % self.p, -x[1] % self.p)
 
@@ -445,14 +446,12 @@ class QuadExtField(FieldDescriptor):
         # the sum of (a + b*w)(c + d*w) is sum(ac) - ext_c*sum(bd) plus
         # (sum(ad + bc) - ext_b*sum(bd))*w: three integer sums, reduced once
         ac = bd = cross = 0
-        for x, y in zip(xs, ys):
-            a, b = x.value
-            c, d = y.value
+        for (a, b), (c, d) in zip(xs, ys):
             ac += a * c
             bd += b * d
             cross += a * d + b * c
         p = self.p
-        return Scalar(self, ((ac - self.ext_c * bd) % p, (cross - self.ext_b * bd) % p))
+        return ((ac - self.ext_c * bd) % p, (cross - self.ext_b * bd) % p)
 
     def inv(self, x):
         # Norm s * star(s) = a^2 - ext_b*a*b + ext_c*b^2 lies in the prime
@@ -515,11 +514,8 @@ class Scalar:
     # -- basics -----------------------------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Scalar)
-            and self.field is other.field
-            and self.value == other.value
-        )
+        return (isinstance(other, Scalar) and self.field is other.field
+                and self.value == other.value)
 
     def __hash__(self):
         return hash(self.value)
@@ -545,8 +541,7 @@ class Scalar:
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        f = self.field
-        return Scalar(f, f.add(self.value, f.neg(other.value)))
+        return Scalar(self.field, self.field.sub(self.value, other.value))
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._check(other)

@@ -1,11 +1,13 @@
 """Generation, sweep orchestration, reports, and determinism."""
 
 import dataclasses
+import itertools
 import json
 import random
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -73,8 +75,23 @@ def test_exhaustive_order_matches_index_digits(field, dim):
     elems = list(generate(GeneratorSpec(Mode.EXHAUSTIVE, field, dim)))
     total = field.size() ** (dim * dim)
     assert elems == [_index_digit_element(field, dim, k) for k in range(total)]
-    # the stream's matrices share one scalar object per field element
-    assert len({id(e) for m in elems for row in m.rows for e in row}) == field.size()
+    # the stream's matrices share one raw value object per field element
+    assert len({id(v) for m in elems for row in m.values for v in row}) == field.size()
+
+
+def test_exhaustive_stream_memory_per_element():
+    # a sweep holds its whole stream, so the budget's memory is this figure
+    # times the element count: a matrix keeps only its raw values, shared
+    # with the other elements, and no Scalar view
+    tracemalloc.start()
+    try:
+        held = list(itertools.islice(generate(GeneratorSpec(Mode.EXHAUSTIVE,
+                                                            prime_field(31), 2)), 20000))
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 20000
+    assert size / len(held) < 0.30 * 1024
 
 
 def test_exhaustive_budget():
@@ -610,6 +627,30 @@ def test_gauss_jordan_runs_per_sweep(monkeypatch):
     report = sweep(GeneratorSpec(Mode.EXHAUSTIVE, F4, 2), "all")
     assert report.totals["bothInvertible"] == 187
     assert len(runs) == 566
+
+
+def test_dot_runs_per_sweep(monkeypatch):
+    # every product entry a sweep builds or compares is one call of its
+    # field's dot, so these counts pin the arithmetic a sweep does: a faster
+    # matrix layer must reach the same verdicts with exactly as many entries
+    calls = []
+
+    def counted(dot):
+        def wrapper(self, xs, ys):
+            calls.append(1)
+            return dot(self, xs, ys)
+        return wrapper
+
+    for field in (F4, GAUSSIAN):
+        monkeypatch.setattr(type(field), "dot", counted(type(field).dot))
+    sweep(GeneratorSpec(Mode.EXHAUSTIVE, F4, 2), "all")
+    assert len(calls) == 95016
+    calls.clear()
+    rng = random.Random(1)  # the eight streams of bench sweep-qi-random, seed 1
+    for _ in range(8):
+        sweep(GeneratorSpec(Mode.RANDOM, GAUSSIAN, 3, sample_count=20,
+                            seed=rng.randrange(2**32)), "all")
+    assert len(calls) == 70405
 
 
 def test_scalar_pools_built_once_per_stream(monkeypatch):
