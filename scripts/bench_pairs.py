@@ -19,7 +19,11 @@ the output records).
 * `--trace` runs one traced seed-1 unit of every BENCHMARK.json workload
   on each side and records its per-layer metrics.
 * `--battery` runs scripts/run_verification.py on each side and records
-  every report digest, its wall time and the total.
+  every report digest, its wall time and the total.  It also runs one
+  `starring verify --exhaustive --format json` on each side for each whole
+  ring in WHOLE_RINGS, which the battery does not sweep, and records the
+  report's `wallTime`, the sha256 of the report without its `wallTime`
+  line and whether both sides' digests are equal, under "whole_rings".
 
 The output JSON is read first if it exists, so several invocations build up
 one file.  For every workload and end-to-end metric the summary gives each
@@ -35,6 +39,7 @@ its operations; the summary's "operations" entry records why.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import pathlib
@@ -48,6 +53,9 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BATTERY_ROW = re.compile(r"^(\S+)\s+elements .*wallTime\s+([\d.]+)s\s+sha256 ([0-9a-f]{64})")
 BATTERY_TOTAL = re.compile(r"^total wall time ([\d.]+)s; (.*)$")
+#: the whole rings timed with the battery: name -> (--ring, --dim)
+WHOLE_RINGS = {"M_3(F_2)": ("f2", 3), "M_2(F_5)": ("f5", 2), "M_2(F_7)": ("f7", 2),
+               "M_2(F_9)": ("f32", 2)}
 
 
 def quartiles(values) -> dict:
@@ -147,6 +155,29 @@ def run_battery(tree: pathlib.Path) -> dict:
             "reports": reports}
 
 
+def report_timing(text: str) -> dict:
+    """The `wallTime` of a `verify --format json` report and the sha256 of
+    the report without its `wallTime` line, as `VerificationReport.digest`
+    computes it."""
+    kept = "\n".join(ln for ln in text.splitlines() if not ln.startswith('  "wallTime": '))
+    return {"wallTime_s": json.loads(text)["wallTime"],
+            "sha256": hashlib.sha256(kept.encode()).hexdigest()}
+
+
+def run_whole_ring(tree: pathlib.Path, ring: str, dim: int) -> dict:
+    """One exhaustive `starring verify` of M_dim(ring) on the sources in
+    `tree`: its exit status, `wallTime` and digest."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "starring.cli", "verify", "--ring", ring, "--dim", str(dim),
+         "--exhaustive", "--format", "json"],
+        cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+        capture_output=True, text=True)
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"verify --ring {ring} --dim {dim} failed in {tree} "
+                           f"(exit {proc.returncode}):\n{proc.stderr[-2000:]}")
+    return {"exit": proc.returncode, **report_timing(proc.stdout)}
+
+
 def extract(rev: str, dest: pathlib.Path) -> str:
     """Write the files of commit `rev` into `dest`; return its full hash."""
     full = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
@@ -221,6 +252,13 @@ def main() -> int:
                 {k: v["sha256"] for k, v in battery["before"]["reports"].items()}
                 == {k: v["sha256"] for k, v in battery["after"]["reports"].items()})
             doc["battery"] = battery
+            rings = {key: {name: run_whole_ring(trees[side], ring, dim)
+                           for name, (ring, dim) in WHOLE_RINGS.items()}
+                     for key, side in (("before", "parent"), ("after", "change"))}
+            rings["digests_equal"] = (
+                {k: v["sha256"] for k, v in rings["before"].items()}
+                == {k: v["sha256"] for k, v in rings["after"].items()})
+            doc["whole_rings"] = rings
             save()
     save()
     return 0

@@ -6,10 +6,21 @@ filter).  All tests are exact equalities of canonical forms.  The relation
 predicates and `is_projection` compare products through `products_equal`,
 so a product that is only compared is read entry by entry up to the first
 that differs, never built.
+
+Inside a `projection_verdicts(stream)` block, `is_projection` answers from a
+table that holds one verdict per distinct value of the stream, built when
+the block opens by one full test of each.  A matrix equal to a stream value,
+whichever object it is, is a lookup; any other is tested in full, and the
+table does not grow.  The table is per context, like the product memo, and
+is dropped when the block exits, whether it returns or raises.  A sweep
+opens one over its stream: over an exhaustive stream every matrix the sweep
+tests is a ring element, so it makes one full test per element.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .geninv import InverseBundle
@@ -33,14 +44,32 @@ class Classification:
             raise ValueError("a projection is always sep")
 
 
+# The verdict table of this context's open `projection_verdicts` block: one
+# verdict per distinct stream value, keyed by value (Matrix equality asks for
+# the same field, so equal raw values over two fields are two keys).
+_VERDICTS: ContextVar[dict | None] = ContextVar("starring_projection_verdicts",
+                                                default=None)
+
+
 def is_projection(e: Matrix) -> bool:
     """e is a self-adjoint idempotent.
 
-    The one-sided forms e = e e* and e = e* e are each equivalent to the
-    definition; all three are evaluated and must agree, as an internal
-    consistency check on the involution.  The definition tests e* = e, which
-    takes no product, before e e = e.
+    Inside a `projection_verdicts` block, the verdict of a matrix equal to a
+    stream value is read from the block's table.  Any other matrix is tested
+    in full: the one-sided forms e = e e* and e = e* e are each equivalent
+    to the definition; all three are evaluated and must agree, as an
+    internal consistency check on the involution.  The definition tests
+    e* = e, which takes no product, before e e = e.
     """
+    verdicts = _VERDICTS.get()
+    if verdicts is not None:
+        verdict = verdicts.get(e)
+        if verdict is not None:
+            return verdict
+    return _tested_projection(e)
+
+
+def _tested_projection(e: Matrix) -> bool:
     e_star = e.star()
     direct = e_star == e and products_equal((e, e), e)
     via_right = products_equal(e, (e, e_star))
@@ -48,6 +77,26 @@ def is_projection(e: Matrix) -> bool:
     if not (direct == via_right == via_left):
         raise AssertionError(f"projection characterizations disagree on {e!r}")
     return direct
+
+
+@contextmanager
+def projection_verdicts(stream):
+    """Test each distinct value of `stream` once for being a projection, and
+    let `is_projection` read those verdicts until the block exits.
+
+    Yields the table, from each distinct stream value, in first-occurrence
+    order, to its verdict.  Blocks nest, the inner table replacing the outer
+    one; each thread has its own.
+    """
+    verdicts = {}
+    token = _VERDICTS.set(verdicts)
+    try:
+        for m in stream:
+            if m not in verdicts:
+                verdicts[m] = is_projection(m)
+        yield verdicts
+    finally:
+        _VERDICTS.reset(token)
 
 
 def _require(b: InverseBundle, mp: bool, group: bool):

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .classify import is_projection, is_sep
+from .classify import is_sep, projection_verdicts
 from .geninv import InverseBundle
 from .matrix import MAX_DIMENSION, Matrix, product_memo
 from .starfield import GAUSSIAN, RATIONAL, FieldDescriptor, prime_field, quad_ext_field
@@ -314,7 +314,7 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
     and participate in both lemma checks.
 
     The stream is drawn once and held in memory as a list, which the
-    projection scan and the element loop read: about 0.2 KB per M_2 element
+    projection table and the element loop read: about 0.2 KB per M_2 element
     over F_31 and 0.3 to 0.4 KB per M_3(F_3) or M_4(F_2) element, since an
     exhaustive stream's matrices share one raw value object per field
     element and keep no Scalar, so about 200 MB at the EXHAUSTIVE_BUDGET
@@ -327,6 +327,15 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
     for that element: e^2, which the entries already took, and a repeated
     pair cost no product.  A memo holds its results only until its element
     is done, and it is per thread.
+
+    Before the loop, `projection_verdicts(stream)` tests each distinct
+    stream value once for being a projection; the L2.8 projections are read
+    from that table, and for the rest of the sweep every `is_projection` on
+    a matrix equal to a stream value is a lookup in it.  Over an exhaustive
+    stream that is every matrix the registry entries and L2.8 test, so the
+    sweep makes one full projection test per ring element.  The table maps
+    each distinct stream value to a bool, as the scan's deduplicating dict
+    did; it is per thread, and dropped when the sweep returns or raises.
     """
     spec.validate()
     entries = resolve_entries(entry_ids)
@@ -340,8 +349,6 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
         tallies[e.id] = {"checked": 0, good: 0, bad: []}
 
     stream = list(generate(spec))
-    projections = [m for m in dict.fromkeys(stream) if is_projection(m)]
-
     totals = {"generated": len(stream), "mpInvertible": 0, "groupInvertible": 0,
               "bothInvertible": 0, "sep": 0}
     sandwich = {"checked": 0, "vacuous": 0, "violations": []}
@@ -365,35 +372,37 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
     for i, j in _l31_pairs(spec, len(stream)):
         partners.setdefault(i, []).append(j)
 
-    for i, m in enumerate(stream):
-        with product_memo():
-            bundle = InverseBundle.compute(m)
-            if bundle.has_mp:
-                totals["mpInvertible"] += 1
-            if bundle.has_group:
-                totals["groupInvertible"] += 1
-            if bundle.has_mp and bundle.has_group:
-                totals["bothInvertible"] += 1
-                if is_sep(bundle):
-                    totals["sep"] += 1
-                for entry in sep_entries:
-                    record(entry, bundle)
-            if bundle.has_mp:
-                for entry in pi_entries:
-                    record(entry, bundle)
-                for x in projections:
-                    verdict = check_projection_sandwich(bundle, x)
-                    sandwich["checked"] += 1
-                    if verdict is Verdict.VACUOUS:
-                        sandwich["vacuous"] += 1
-                    elif verdict is Verdict.COUNTEREXAMPLE:
-                        sandwich["violations"].append(
-                            {"a": m.to_tokens(), "x": x.to_tokens()})
-            for j in partners.get(i, ()):
-                a = stream[j]
-                duality["checked"] += 1
-                if check_left_right_duality(m, a) is Verdict.COUNTEREXAMPLE:
-                    duality["violations"].append({"e": m.to_tokens(), "a": a.to_tokens()})
+    with projection_verdicts(stream) as verdicts:
+        projections = [m for m, projection in verdicts.items() if projection]
+        for i, m in enumerate(stream):
+            with product_memo():
+                bundle = InverseBundle.compute(m)
+                if bundle.has_mp:
+                    totals["mpInvertible"] += 1
+                if bundle.has_group:
+                    totals["groupInvertible"] += 1
+                if bundle.has_mp and bundle.has_group:
+                    totals["bothInvertible"] += 1
+                    if is_sep(bundle):
+                        totals["sep"] += 1
+                    for entry in sep_entries:
+                        record(entry, bundle)
+                if bundle.has_mp:
+                    for entry in pi_entries:
+                        record(entry, bundle)
+                    for x in projections:
+                        verdict = check_projection_sandwich(bundle, x)
+                        sandwich["checked"] += 1
+                        if verdict is Verdict.VACUOUS:
+                            sandwich["vacuous"] += 1
+                        elif verdict is Verdict.COUNTEREXAMPLE:
+                            sandwich["violations"].append(
+                                {"a": m.to_tokens(), "x": x.to_tokens()})
+                for j in partners.get(i, ()):
+                    a = stream[j]
+                    duality["checked"] += 1
+                    if check_left_right_duality(m, a) is Verdict.COUNTEREXAMPLE:
+                        duality["violations"].append({"e": m.to_tokens(), "a": a.to_tokens()})
 
     for entry in entries:
         tallies[entry.id][_TALLY_KEYS[entry.gated][1]].sort(key=_sort_key)

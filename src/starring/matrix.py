@@ -138,10 +138,10 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(map(self.field.is_zero, chain.from_iterable(self.values)))
 
-    def _check(self, other: "Matrix", same_shape=True):
+    def _check(self, other: "Matrix"):
         if self.field is not other.field:
             raise FieldMismatchError(f"{self.field.name} vs {other.field.name}")
-        if same_shape and (self.nrows != other.nrows or self.ncols != other.ncols):
+        if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ShapeError(f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
 
     def _entrywise(self, rule, other: "Matrix") -> "Matrix":
@@ -180,7 +180,8 @@ class Matrix:
         entry (i, j) is dot(self.values[i], cols[j]), a raw value.  Raises
         what the product raises on operands of different fields or unmatched
         shapes."""
-        self._check(other, same_shape=False)
+        if self.field is not other.field:
+            raise FieldMismatchError(f"{self.field.name} vs {other.field.name}")
         if len(self.values[0]) != len(other.values):
             raise ShapeError(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
         return self.field.dot, list(zip(*other.values))
@@ -287,11 +288,13 @@ def _recall(key, compute, *operands):
 
 
 def products_equal(lhs, rhs) -> bool:
-    """lhs == rhs, where each side is a Matrix or a pair (x, y) standing for
-    the product x y, without building a product that is only compared.
+    """lhs == rhs, where each side is a Matrix or a pair, the tuple (x, y),
+    standing for the product x y, without building a product that is only
+    compared.
 
-    The entries are compared in row order and the first that differs
-    decides.  A product the open memo holds is read from it; any other is
+    A product the open memo holds is read from it, and two built sides are
+    compared as `==` compares them.  Otherwise the entries are compared in
+    row order and the first that differs decides; a product not built is
     computed one entry at a time by the rule of `x * y`, up to that entry.
     When such a pair comes out equal to a built side (a Matrix, or a product
     the memo holds), the open memo keeps that side as the pair's product.
@@ -299,30 +302,40 @@ def products_equal(lhs, rhs) -> bool:
     sides of different fields or shapes are unequal, as for `==`.
     """
     memo = _MEMO.get()
-    field, shape, left, left_built = _entries(lhs, memo)
-    other_field, other_shape, right, right_built = _entries(rhs, memo)
-    if field is not other_field or shape != other_shape:
-        return False
+    if memo is None:
+        left = lhs if isinstance(lhs, Matrix) else None
+        right = rhs if isinstance(rhs, Matrix) else None
+    else:
+        left = lhs if isinstance(lhs, Matrix) else memo.get(lhs)
+        right = rhs if isinstance(rhs, Matrix) else memo.get(rhs)
+    if left is not None and right is not None:
+        return left.field is right.field and left.values == right.values
+    # a pair the memo does not hold is computed as it is read
+    if left is None:
+        x, y = lhs
+        dot, cols = x._factors(y)
+        field, shape = x.field, (len(x.values), len(cols))
+        entries = starmap(dot, product(x.values, cols))
+    else:
+        rows = left.values
+        field, shape, entries = left.field, (len(rows), len(rows[0])), chain.from_iterable(rows)
+    if right is None:
+        x, y = rhs
+        dot, cols = x._factors(y)
+        if field is not x.field or shape != (len(x.values), len(cols)):
+            return False
+        other_entries = starmap(dot, product(x.values, cols))
+    else:
+        rows = right.values
+        if field is not right.field or shape != (len(rows), len(rows[0])):
+            return False
+        other_entries = chain.from_iterable(rows)
     # equal shapes, so map reads every entry of both sides; one field, so
     # entries are equal exactly when their raw values are
-    equal = all(map(eq, left, right))
-    if equal and memo is not None and (left_built is None) != (right_built is None):
-        memo[tuple(lhs if left_built is None else rhs)] = left_built or right_built
+    equal = all(map(eq, entries, other_entries))
+    if equal and memo is not None and (left is None) != (right is None):
+        memo[lhs if left is None else rhs] = left or right
     return equal
-
-
-def _entries(side, memo):
-    """The field, shape and row-order raw entries of a Matrix or of a pair's
-    product, and their Matrix, or None for a product computed as it is read."""
-    if not isinstance(side, Matrix):
-        x, y = side
-        side = memo.get((x, y)) if memo is not None else None
-        if side is None:
-            dot, cols = x._factors(y)
-            return (x.field, (len(x.values), len(cols)),
-                    starmap(dot, product(x.values, cols)), None)
-    rows = side.values
-    return side.field, (len(rows), len(rows[0])), chain.from_iterable(rows), side
 
 
 @contextmanager

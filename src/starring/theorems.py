@@ -325,7 +325,10 @@ def check_projection_sandwich(a, x: Matrix) -> Verdict:
     """L2.8 on (a, x): a must be MP-invertible and x a projection.
 
     Accepts either a Matrix or a precomputed InverseBundle for a.  When the
-    hypothesis x = a a^+ x a^+ a fails the implication is vacuous.
+    hypothesis x = a a^+ x a^+ a fails the implication is vacuous.  Inside a
+    sweep, x is a stream value, so the test that it is a projection is a
+    lookup in the sweep's projection table; it stays, since a caller outside
+    a sweep may pass any matrix.
     """
     if isinstance(a, InverseBundle):
         bundle = a

@@ -103,3 +103,35 @@ def test_wrong_or_failing_runs_show_neither_gain_nor_bound():
     s = bench_pairs.summarize(pairs, METRICS)
     assert s["operations"]["unsound_pairs"] == []
     assert s["elements_per_s"]["gain_shown"]
+
+
+def test_report_timing_reads_the_wall_time_and_the_report_digest():
+    from starring.harness import GeneratorSpec, Mode, sweep
+    from starring.starfield import prime_field
+
+    report = sweep(GeneratorSpec(Mode.EXHAUSTIVE, prime_field(2), 1), "all")
+    text = report.to_json() + "\n"  # as `verify --format json` prints it
+    assert bench_pairs.report_timing(text) == {"wallTime_s": report.wall_time,
+                                               "sha256": report.digest()}
+    # a report that differs in wallTime alone has the same digest
+    other = text.replace(f'"wallTime": {report.wall_time}', '"wallTime": 12.5')
+    assert other != text
+    assert bench_pairs.report_timing(other) == {"wallTime_s": 12.5,
+                                                "sha256": report.digest()}
+
+
+def test_run_whole_ring_runs_the_cli_on_a_tree():
+    from starring.harness import GeneratorSpec, Mode, sweep
+    from starring.starfield import parse_ring, prime_field
+
+    result = bench_pairs.run_whole_ring(bench_pairs.ROOT, "f3", 2)
+    spec = GeneratorSpec(Mode.EXHAUSTIVE, prime_field(3), 2)
+    assert result["exit"] == 0 and result["wallTime_s"] > 0
+    assert result["sha256"] == sweep(spec, "all").digest()
+    with pytest.raises(RuntimeError, match="exit 2"):
+        bench_pairs.run_whole_ring(bench_pairs.ROOT, "f1", 2)  # no field F_1
+    # each named ring is the one its flags select: M_3(F_2), M_2(F_5),
+    # M_2(F_7) and M_2(F_9)
+    sizes = {name: parse_ring(ring).size() ** (dim * dim)
+             for name, (ring, dim) in bench_pairs.WHOLE_RINGS.items()}
+    assert sizes == {"M_3(F_2)": 512, "M_2(F_5)": 625, "M_2(F_7)": 2401, "M_2(F_9)": 6561}

@@ -14,7 +14,7 @@ import pytest
 import starring.harness as harness_mod
 import starring.matrix as matrix_mod
 import starring.theorems as theorems_mod
-from starring.classify import classify
+from starring.classify import classify, is_projection, projection_verdicts
 from starring.geninv import (InverseBundle, group_inverse, mp_inverse, verify_group,
                              verify_penrose)
 from starring.harness import (
@@ -568,6 +568,117 @@ def test_l31_products_taken_once_per_e_and_pair(monkeypatch):
         assert verdict is (Verdict.CONSISTENT if holds else Verdict.COUNTEREXAMPLE)
 
 
+# -- the projection table ------------------------------------------------------------
+
+# the module, not the function the package rebinds its name to
+classify_mod = sys.modules["starring.classify"]
+
+
+def _count_full_tests(monkeypatch) -> list:
+    """A list that grows by one at each projection test run in full."""
+    tested, test = [], classify_mod._tested_projection
+
+    def counted(e):
+        tested.append(e)
+        return test(e)
+
+    monkeypatch.setattr(classify_mod, "_tested_projection", counted)
+    return tested
+
+
+@pytest.mark.parametrize("spec", [GeneratorSpec(Mode.EXHAUSTIVE, F4, 2),
+                                  GeneratorSpec(Mode.EXHAUSTIVE, F2, 3)],
+                         ids=["m2-f4", "m3-f2"])
+def test_one_full_projection_test_per_ring_element(spec, monkeypatch):
+    ring = list(generate(spec))
+    outside = [is_projection(m) for m in ring]
+    tested = _count_full_tests(monkeypatch)
+    inside = []
+    evaluate_entry = harness_mod.evaluate
+
+    def evaluate(entry, bundle):
+        if not inside:  # fresh matrices, equal to the stream's by value
+            inside.extend(is_projection(m) for m in generate(spec))
+        return evaluate_entry(entry, bundle)
+
+    monkeypatch.setattr(harness_mod, "evaluate", evaluate)
+    report = sweep(spec, "all")
+    assert inside == outside
+    # the table's own tests, one per element: every later test, the entries'
+    # "in PE" claims, L2.8's and the ones above, is a lookup
+    assert len(tested) == len(ring) == report.totals["generated"] == len(set(ring))
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+def test_projection_table_dropped_when_the_sweep_ends(fail, monkeypatch):
+    spec = GeneratorSpec(Mode.EXHAUSTIVE, F2, 2)
+    e = Matrix.from_ints(F2, [[1, 0], [0, 0]])  # a projection in the stream
+    tested = _count_full_tests(monkeypatch)
+    seen = []
+
+    def evaluate(entry, bundle):
+        before = len(tested)
+        seen.append(is_projection(e) and len(tested) == before)  # a lookup
+        if fail:
+            raise RuntimeError("entry failed")
+        return theorems_mod.evaluate(entry, bundle)
+
+    monkeypatch.setattr(harness_mod, "evaluate", evaluate)
+    if fail:
+        with pytest.raises(RuntimeError, match="entry failed"):
+            sweep(spec, "all")
+    else:
+        sweep(spec, "all")
+    assert seen and all(seen)
+    assert classify_mod._VERDICTS.get() is None
+    before = len(tested)
+    assert is_projection(e) and len(tested) == before + 1
+
+
+def test_projection_table_keys_on_the_field():
+    # equal integers over F_3 and F_5: equal raw values, so equal hashes, but
+    # 8 = 2 in F_3 and 8 = 3 in F_5, so only the first is idempotent
+    p3 = Matrix.from_ints(F3, [[2, 2], [2, 2]])
+    p5 = Matrix.from_ints(F5, [[2, 2], [2, 2]])
+    assert p3.values == p5.values and hash(p3) == hash(p5) and p3 != p5
+    with projection_verdicts([p3, p5, p3]) as verdicts:
+        assert verdicts == {p3: True, p5: False}
+        assert list(verdicts) == [p3, p5]
+    for stream, other, verdict in (([p3], p5, False), ([p5], p3, True)):
+        with projection_verdicts(stream) as verdicts:
+            assert is_projection(other) is verdict
+            assert len(verdicts) == 1  # a test outside the stream stores nothing
+
+
+def test_a_sweep_in_another_thread_shares_no_table(monkeypatch):
+    spec = GeneratorSpec(Mode.EXHAUSTIVE, F2, 2)
+    e = Matrix.from_ints(F2, [[1, 0], [0, 0]])  # a projection in its stream
+    tested = _count_full_tests(monkeypatch)
+    in_sweep, checked = threading.Event(), threading.Event()
+    evaluate_entry = harness_mod.evaluate
+
+    def evaluate(entry, bundle):
+        if not in_sweep.is_set():  # hold the sweep, its table open, once
+            in_sweep.set()
+            checked.wait(timeout=60)
+        return evaluate_entry(entry, bundle)
+
+    monkeypatch.setattr(harness_mod, "evaluate", evaluate)
+    digests = []
+    thread = threading.Thread(target=lambda: digests.append(sweep(spec, "all").digest()))
+    thread.start()
+    try:
+        assert in_sweep.wait(timeout=60)
+        assert classify_mod._VERDICTS.get() is None
+        before = len(tested)
+        assert is_projection(e) and len(tested) == before + 1
+    finally:
+        checked.set()
+        thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert digests == [dict(PINNED_REPORTS)[spec]]
+
+
 def test_entry_products_shared_through_the_memo(monkeypatch):
     # every product the registry entries take or compare, over all of M_2(F_3):
     # a statement read in another association order, or a loop that takes a
@@ -599,8 +710,11 @@ def test_entry_products_shared_through_the_memo(monkeypatch):
     # factorization formulas: the entries' own dots were 228 fewer, since
     # they found in the memo products the formulas had taken (a* a among
     # them, F* A for an invertible a, whose F is a), and the derived builds
-    # inside evaluate took 140 more, in the formulas for a^# and a^+
-    assert len(dots) == 10960
+    # inside evaluate took 140 more, in the formulas for a^# and a^+; 10,960
+    # while every projection test inside evaluate ran in full: the sweep's
+    # projection table now answers each "in PE" claim on a ring element,
+    # so the 3,696 dots of those repeated tests are gone
+    assert len(dots) == 7264
 
 
 def test_gauss_jordan_runs_per_sweep(monkeypatch):
@@ -644,12 +758,16 @@ def test_dot_runs_per_sweep(monkeypatch):
     for field in (F4, GAUSSIAN):
         monkeypatch.setattr(type(field), "dot", counted(type(field).dot))
     sweep(GeneratorSpec(Mode.EXHAUSTIVE, F4, 2), "all")
-    assert len(calls) == 95016
+    # 95,016 while each of the sweep's 5,554 projection tests ran in full;
+    # the projection table leaves one full test per element of the ring
+    assert len(calls) == 84475
     calls.clear()
     rng = random.Random(1)  # the eight streams of bench sweep-qi-random, seed 1
     for _ in range(8):
         sweep(GeneratorSpec(Mode.RANDOM, GAUSSIAN, 3, sample_count=20,
                             seed=rng.randrange(2**32)), "all")
+    # no matrix these sweeps test for being a projection, past their own
+    # streams, equals a stream value, so the table changes no arithmetic here
     assert len(calls) == 70405
 
 
