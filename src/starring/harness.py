@@ -324,9 +324,12 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
     registry entries, derived elements, L2.8 checks and the L3.1 pairs
     whose e it is run inside one `product_memo()`, so every distinct
     product, difference, negation and adjoint they ask for is computed once
-    for that element: e^2, which the entries already took, and a repeated
-    pair cost no product.  A memo holds its results only until its element
-    is done, and it is per thread.
+    for that element.  L3.1 reads e^2 there, which the entries already
+    took, or takes it once for all of e's partners; a pair adds nothing to
+    the memo, since it builds its difference as raw rows and reads its
+    other products entry by entry, so a pair drawn twice is decided again.
+    A memo holds its results only until its element is done, and it is per
+    thread.
 
     Before the loop, `projection_verdicts(stream)` tests each distinct
     stream value once for being a projection; the L2.8 projections are read

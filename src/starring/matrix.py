@@ -19,7 +19,11 @@ block per element.
 
 A product that is only compared is not built: `products_equal` decides an
 equality of products entry by entry and stops at the first entry that
-differs.
+differs.  That comparison is `entries_agree`, which reads rows of raw
+values, so a caller holding raw rows of its own, as the L3.1 check does,
+compares through it too.  Each matrix keeps its columns in a slot filled on
+first use, as it keeps its hash, so a right factor is transposed once, not
+once per product.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ class Matrix:
     """An immutable grid of raw values over a single field: `values[i][j]`
     is entry (i, j) in the field's canonical form, and `rows[i][j]` as a Scalar."""
 
-    __slots__ = ("field", "values", "_hash")
+    __slots__ = ("field", "values", "_hash", "_cols")
 
     def __init__(self, field: FieldDescriptor, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -64,15 +68,24 @@ class Matrix:
             raise FieldMismatchError("entry from a different field")
         self.field = field
         self.values = tuple([tuple([e.value for e in r]) for r in rows])
-        self._hash = None
+        self._hash = self._cols = None
 
     @classmethod
     def _unchecked(cls, field: FieldDescriptor, values: tuple) -> "Matrix":
         # values that already pass __init__'s checks: a non-empty tuple of
         # equal-length, non-empty tuples within the cap, of raw values of field
         m = object.__new__(cls)
-        m.field, m.values, m._hash = field, values, None
+        m.field, m.values, m._hash, m._cols = field, values, None, None
         return m
+
+    @property
+    def columns(self) -> tuple:
+        """The columns of raw values, `values` transposed: kept in a slot on
+        first use, so a matrix is transposed once however often it is a right
+        factor."""
+        if self._cols is None:
+            self._cols = tuple(zip(*self.values))
+        return self._cols
 
     @property
     def rows(self) -> tuple:
@@ -141,23 +154,29 @@ class Matrix:
     def _check(self, other: "Matrix"):
         if self.field is not other.field:
             raise FieldMismatchError(f"{self.field.name} vs {other.field.name}")
-        if self.nrows != other.nrows or self.ncols != other.ncols:
+        mine, theirs = self.values, other.values
+        if len(mine) != len(theirs) or len(mine[0]) != len(theirs[0]):
             raise ShapeError(f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
 
-    def _entrywise(self, rule, other: "Matrix") -> "Matrix":
+    def _entrywise(self, rule, other: "Matrix") -> tuple:
         self._check(other)
-        return Matrix._unchecked(self.field, tuple([tuple(map(rule, ra, rb)) for ra, rb
-                                                    in zip(self.values, other.values)]))
+        return tuple([tuple(map(rule, ra, rb)) for ra, rb in zip(self.values, other.values)])
 
     # -- ring arithmetic ------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(self.field.add, other)
+        return Matrix._unchecked(self.field, self._entrywise(self.field.add, other))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return _recall(("-", self, other), Matrix._difference, self, other)
 
     def _difference(self, other: "Matrix") -> "Matrix":
+        return Matrix._unchecked(self.field, self.difference_rows(other))
+
+    def difference_rows(self, other: "Matrix") -> tuple:
+        """The rows of raw values of self - other, which raises what `-`
+        raises on operands of different fields or shapes; no Matrix and no
+        memo entry is made."""
         return self._entrywise(self.field.sub, other)
 
     def __neg__(self) -> "Matrix":
@@ -171,20 +190,19 @@ class Matrix:
         return _recall((self, other), Matrix._product, self, other)
 
     def _product(self, other: "Matrix") -> "Matrix":
-        dot, cols = self._factors(other)
+        dot, cols = self.field.dot, self._factor_columns(other)
         return Matrix._unchecked(self.field, tuple([tuple([dot(row, col) for col in cols])
                                                     for row in self.values]))
 
-    def _factors(self, other: "Matrix"):
-        """The entry rule and the columns of other for the product self other:
-        entry (i, j) is dot(self.values[i], cols[j]), a raw value.  Raises
-        what the product raises on operands of different fields or unmatched
-        shapes."""
+    def _factor_columns(self, other: "Matrix") -> tuple:
+        """The columns of other for the product self other, whose entry
+        (i, j) is field.dot(self.values[i], cols[j]).  Raises what the
+        product raises on operands of different fields or unmatched shapes."""
         if self.field is not other.field:
             raise FieldMismatchError(f"{self.field.name} vs {other.field.name}")
         if len(self.values[0]) != len(other.values):
             raise ShapeError(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        return self.field.dot, list(zip(*other.values))
+        return other.columns
 
     def __pow__(self, k: int) -> "Matrix":
         if k < 1:
@@ -313,29 +331,39 @@ def products_equal(lhs, rhs) -> bool:
     # a pair the memo does not hold is computed as it is read
     if left is None:
         x, y = lhs
-        dot, cols = x._factors(y)
-        field, shape = x.field, (len(x.values), len(cols))
-        entries = starmap(dot, product(x.values, cols))
+        field, rows, cols = x.field, x.values, x._factor_columns(y)
     else:
-        rows = left.values
-        field, shape, entries = left.field, (len(rows), len(rows[0])), chain.from_iterable(rows)
+        field, rows, cols = left.field, left.values, None
     if right is None:
         x, y = rhs
-        dot, cols = x._factors(y)
-        if field is not x.field or shape != (len(x.values), len(cols)):
-            return False
-        other_entries = starmap(dot, product(x.values, cols))
+        other_field, other_rows, other_cols = x.field, x.values, x._factor_columns(y)
     else:
-        rows = right.values
-        if field is not right.field or shape != (len(rows), len(rows[0])):
-            return False
-        other_entries = chain.from_iterable(rows)
-    # equal shapes, so map reads every entry of both sides; one field, so
-    # entries are equal exactly when their raw values are
-    equal = all(map(eq, entries, other_entries))
+        other_field, other_rows, other_cols = right.field, right.values, None
+    # a side is as wide as its columns, or its first row when it is built
+    if (field is not other_field or len(rows) != len(other_rows)
+            or len(cols or rows[0]) != len(other_cols or other_rows[0])):
+        return False
+    equal = entries_agree(field, rows, cols, other_rows, other_cols)
     if equal and memo is not None and (left is None) != (right is None):
         memo[lhs if left is None else rhs] = left or right
     return equal
+
+
+def entries_agree(field, rows, cols, other_rows, other_cols) -> bool:
+    """Whether two grids of one shape over field have equal entries, read in
+    row order up to the first that differs.
+
+    A grid is given by rows of raw values and cols: with cols None it is the
+    rows themselves; otherwise it is the product of the rows by the columns
+    cols, whose entries are computed by field.dot one at a time as they are
+    read, so the entries past the first that differs are never computed.
+    """
+    dot = field.dot
+    entries = chain.from_iterable(rows) if cols is None else starmap(dot, product(rows, cols))
+    other = (chain.from_iterable(other_rows) if other_cols is None
+             else starmap(dot, product(other_rows, other_cols)))
+    # one field, so entries are equal exactly when their raw values are
+    return all(map(eq, entries, other))
 
 
 @contextmanager

@@ -51,7 +51,7 @@ from .classify import (  # noqa: F401
 # benchmark's tracer test (bench/test_bench.py) checks that the tracer
 # rebinds a function this module imports by name, and it names this one.
 from .geninv import InverseBundle, derived_elements, mp_inverse  # noqa: F401
-from .matrix import Matrix, products_equal  # noqa: F401
+from .matrix import Matrix, entries_agree, products_equal  # noqa: F401
 
 
 class Kind(Enum):
@@ -316,9 +316,20 @@ LEMMA_STATEMENTS = {
 
 
 def check_left_right_duality(e: Matrix, a: Matrix) -> Verdict:
-    """L3.1: a universal ring identity relating the two one-sided notions."""
-    holds = is_left_idempotent_for(e, a) == is_right_idempotent_for(a - e, a)
-    return Verdict.CONSISTENT if holds else Verdict.COUNTEREXAMPLE
+    """L3.1: a universal ring identity relating the two one-sided notions.
+
+    Decided on raw values: e e = a e, and d d = d a with d = a - e, each read
+    entry by entry up to the first entry that differs.  e e is the product
+    e * e, so an open memo supplies it or keeps it for e's next partner; d
+    is built as rows, neither a Matrix nor a memo entry, and no other product
+    is built.  Operands of different fields or shapes raise what a - e
+    raises.
+    """
+    d = a.difference_rows(e)
+    field = e.field
+    left = entries_agree(field, (e * e).values, None, a.values, e.columns)
+    right = entries_agree(field, d, tuple(zip(*d)), d, a.columns)
+    return Verdict.CONSISTENT if left == right else Verdict.COUNTEREXAMPLE
 
 
 def check_projection_sandwich(a, x: Matrix) -> Verdict:

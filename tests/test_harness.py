@@ -526,12 +526,14 @@ def test_memo_keeps_fields_and_operations_apart():
 def test_l31_products_taken_once_per_e_and_pair(monkeypatch):
     # the four products of an L3.1 pair are only compared, so none is built:
     # e e is read from e's memo, where X1 took it, and the other three are
-    # read entry by entry up to the first entry that differs
+    # read entry by entry on raw values up to the first entry that differs;
+    # the difference a - e is built as rows, not as a memoized Matrix
     spec = GeneratorSpec(Mode.RANDOM, RATIONAL, 2, sample_count=20, seed=7)
-    check, multiply, dot = (harness_mod.check_left_right_duality, Matrix._product,
-                            type(RATIONAL).dot)
+    check, multiply, difference, dot = (harness_mod.check_left_right_duality,
+                                        Matrix._product, Matrix._difference,
+                                        type(RATIONAL).dot)
     inside = []
-    counts = {"products": 0, "dots": 0}
+    counts = {"products": 0, "differences": 0, "dots": 0}
     verdicts = []
 
     def duality(e, a):
@@ -547,19 +549,27 @@ def test_l31_products_taken_once_per_e_and_pair(monkeypatch):
         counts["products"] += bool(inside)
         return multiply(self, other)
 
+    def counted_difference(self, other):
+        counts["differences"] += bool(inside)
+        return difference(self, other)
+
     def counted_dot(self, xs, ys):
         counts["dots"] += bool(inside)
         return dot(self, xs, ys)
 
     monkeypatch.setattr(harness_mod, "check_left_right_duality", duality)
     monkeypatch.setattr(Matrix, "_product", product)
+    monkeypatch.setattr(Matrix, "_difference", counted_difference)
     monkeypatch.setattr(type(RATIONAL), "dot", counted_dot)
     assert sweep(spec, ["X1"]).lemmas["L3.1"]["checked"] == 400
-    assert counts["products"] == 0
-    # the 400 checks read 1342 entries; building the three products in full
+    assert counts["products"] == counts["differences"] == 0
+    # the 400 checks read 1422 entries; building the three products in full
     # once per distinct pair (a e = e e on the diagonal), 723 products of 4
-    # entries, costs 2892
-    assert counts["dots"] == 1342
+    # entries, costs 2892.  1342 while a memo held a e and a - e: no memo
+    # entry is read or kept per pair now, so a e on the 15 distinct diagonal
+    # pairs is read (60 entries) and the 154 repeated pairs are decided
+    # again (507 entries, 487 before)
+    assert counts["dots"] == 1422
     monkeypatch.undo()
     assert len(verdicts) == 400
     for e, a, verdict in verdicts:
@@ -760,15 +770,19 @@ def test_dot_runs_per_sweep(monkeypatch):
     sweep(GeneratorSpec(Mode.EXHAUSTIVE, F4, 2), "all")
     # 95,016 while each of the sweep's 5,554 projection tests ran in full;
     # the projection table leaves one full test per element of the ring
-    assert len(calls) == 84475
+    # (84,475).  L3.1 takes e e once per e, where the memo did not hold it
+    # yet, rather than reading it entry by entry for each of e's partners
+    assert len(calls) == 82298
     calls.clear()
     rng = random.Random(1)  # the eight streams of bench sweep-qi-random, seed 1
     for _ in range(8):
         sweep(GeneratorSpec(Mode.RANDOM, GAUSSIAN, 3, sample_count=20,
                             seed=rng.randrange(2**32)), "all")
     # no matrix these sweeps test for being a projection, past their own
-    # streams, equals a stream value, so the table changes no arithmetic here
-    assert len(calls) == 70405
+    # streams, equals a stream value, so the table changes no arithmetic here.
+    # 70,405 while the memo kept each L3.1 pair's a e and a - e: a pair
+    # drawn twice is now decided again
+    assert len(calls) == 71944
 
 
 def test_scalar_pools_built_once_per_stream(monkeypatch):

@@ -4,12 +4,15 @@ import re
 
 import pytest
 
+import starring.harness as harness_mod
+import starring.matrix as matrix_mod
 import starring.theorems as theorems_mod
 from starring.classify import is_projection, is_sep
 from starring.geninv import InverseBundle, derived_elements, mp_inverse, verify_penrose
-from starring.harness import GeneratorSpec, Mode, generate
-from starring.matrix import Matrix, product_memo
-from starring.starfield import GAUSSIAN, RATIONAL, prime_field, quad_ext_field
+from starring.harness import GeneratorSpec, Mode, _l31_pairs, generate, sweep
+from starring.matrix import Matrix, ShapeError, product_memo
+from starring.starfield import (GAUSSIAN, RATIONAL, FieldMismatchError, prime_field,
+                                quad_ext_field)
 from starring.theorems import (
     _MP_OF,
     _operand,
@@ -221,6 +224,89 @@ def test_duality_exhaustive_f3_pairs():
         check_left_right_duality(e, a) is Verdict.COUNTEREXAMPLE
         for e in elems for a in elems)
     assert violations == 0
+
+
+def built_duality(e, a):
+    """L3.1's verdict from built products: e e = a e exactly when
+    d d = d a, with d = a - e."""
+    d = a - e
+    holds = (e * e == a * e) == (d * d == d * a)
+    return Verdict.CONSISTENT if holds else Verdict.COUNTEREXAMPLE
+
+
+def l31_pairs(spec):
+    """The (e, a) pairs a sweep of spec feeds to L3.1, grouped by e as the
+    sweep checks them."""
+    stream = list(generate(spec))
+    partners = {}
+    for i, j in _l31_pairs(spec, len(stream)):
+        partners.setdefault(i, []).append(stream[j])
+    return [(stream[i], partners[i]) for i in sorted(partners)]
+
+
+@pytest.mark.parametrize("spec, count", [
+    (GeneratorSpec(Mode.EXHAUSTIVE, F3, 2), 81 * 81),
+    (GeneratorSpec(Mode.RANDOM, GAUSSIAN, 3, sample_count=20, seed=104), 400),
+], ids=["exhaustive-f3", "random-qi-dim3"])
+def test_duality_agrees_with_built_products(spec, count):
+    # the check on raw values reaches the verdict that built products give,
+    # with no memo and with one memo per e, as a sweep opens; in the memo it
+    # leaves e e alone: no difference and no other product is kept
+    pairs = l31_pairs(spec)
+    assert sum(len(partners) for _, partners in pairs) == count
+    for e, partners in pairs:
+        expected = [built_duality(e, a) for a in partners]
+        assert [check_left_right_duality(e, a) for a in partners] == expected
+        with product_memo():
+            assert [check_left_right_duality(e, a) for a in partners] == expected
+            assert list(matrix_mod._MEMO.get()) == [(e, e)]
+
+
+def test_duality_rejects_mismatched_operands():
+    # fields and shapes are checked as a - e checks them; a square e e is
+    # needed too
+    e = Matrix.identity(F3, 2)
+    for a, error in ((Matrix.identity(prime_field(5), 2), FieldMismatchError),
+                     (Matrix.identity(F3, 3), ShapeError)):
+        with pytest.raises(error):
+            a - e
+        with pytest.raises(error):
+            check_left_right_duality(e, a)
+    wide = Matrix.from_ints(F3, [[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ShapeError):
+        check_left_right_duality(wide, wide)
+
+
+def test_duality_finds_a_faulty_difference(monkeypatch):
+    # F_3's sub made wrong on one pair of values, 2 - 1 = 0, breaks the
+    # difference d = a - e: for e = diag(1, 0) and a = diag(2, 0), e e = a e
+    # fails while the faulty d = 0 makes d d = d a hold
+    sub = F3.sub
+
+    def faulty_sub(x, y):
+        return 0 if (x, y) == (2, 1) else sub(x, y)
+
+    e, a = Matrix.from_ints(F3, [[1, 0], [0, 0]]), Matrix.from_ints(F3, [[2, 0], [0, 0]])
+    assert check_left_right_duality(e, a) is Verdict.CONSISTENT
+    monkeypatch.setattr(F3, "sub", faulty_sub)
+    assert check_left_right_duality(e, a) is Verdict.COUNTEREXAMPLE
+    monkeypatch.undo()
+
+    # a sweep's elimination subtracts too, and its inverse checks raise on
+    # the fault, so the fault is on only while L3.1 runs
+    check = harness_mod.check_left_right_duality
+
+    def faulty_duality(e, a):
+        with monkeypatch.context() as fault:
+            fault.setattr(F3, "sub", faulty_sub)
+            return check(e, a)
+
+    monkeypatch.setattr(harness_mod, "check_left_right_duality", faulty_duality)
+    violations = sweep(GeneratorSpec(Mode.EXHAUSTIVE, F3, 2), ["X1"]).lemmas["L3.1"]["violations"]
+    assert {"e": e.to_tokens(), "a": a.to_tokens()} in violations
+    # each one has an entry where a holds 2 and e holds 1
+    for v in violations:
+        assert ("2", "1") in zip(sum(v["a"], []), sum(v["e"], []))
 
 
 # -- MP inverses of the derived members -----------------------------------------
