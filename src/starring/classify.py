@@ -15,6 +15,10 @@ table does not grow.  The table is per context, like the product memo, and
 is dropped when the block exits, whether it returns or raises.  A sweep
 opens one over its stream: over an exhaustive stream every matrix the sweep
 tests is a ring element, so it makes one full test per element.
+
+An open product memo keeps the verdict of each full test under ("PE", x),
+so within one memo, as a sweep opens per element, a matrix outside the
+table is tested in full once however often it is asked about.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .geninv import InverseBundle
-from .matrix import Matrix, products_equal
+from .matrix import Matrix, products_equal, recall
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,8 @@ def is_projection(e: Matrix) -> bool:
 
     Inside a `projection_verdicts` block, the verdict of a matrix equal to a
     stream value is read from the block's table.  Any other matrix is tested
-    in full: the one-sided forms e = e e* and e = e* e are each equivalent
+    in full, once per open product memo, which keeps the verdict under
+    ("PE", e): the one-sided forms e = e e* and e = e* e are each equivalent
     to the definition; all three are evaluated and must agree, as an
     internal consistency check on the involution.  The definition tests
     e* = e, which takes no product, before e e = e.
@@ -66,7 +71,7 @@ def is_projection(e: Matrix) -> bool:
         verdict = verdicts.get(e)
         if verdict is not None:
             return verdict
-    return _tested_projection(e)
+    return recall(("PE", e), _tested_projection, e)
 
 
 def _tested_projection(e: Matrix) -> bool:

@@ -16,8 +16,11 @@ exits 2.  Its projection table, one verdict per distinct stream value,
 lives as long as the sweep; the deduplicating scan it replaced built a dict
 of the same keys while the stream was held too, so the peak grows by at
 most that dict (tracemalloc's peak for M_2(F_7): 1.36 MiB with the scan,
-1.43 MiB with the table).  The named sweeps of the verification battery are
-`starring.harness.BATTERY`.
+1.43 MiB with the table).  A stream of at least q^(2n) elements over F_q,
+as an exhaustive one at n >= 2 is, also keeps one entry table for the sweep:
+at most 4/3 q^(2n) product entries and as many row differences, about
+0.2 KB each, so up to about 370 MB beside the stream's 200 MB at M_2(F_31).
+The named sweeps of the verification battery are `starring.harness.BATTERY`.
 """
 
 from __future__ import annotations

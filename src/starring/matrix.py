@@ -24,6 +24,14 @@ values, so a caller holding raw rows of its own, as the L3.1 check does,
 compares through it too.  Each matrix keeps its columns in a slot filled on
 first use, as it keeps its hash, so a right factor is transposed once, not
 once per product.
+
+Inside a `dot_table(field)` block, products, comparisons of products and
+differences over that field read their entries from one table keyed by raw
+values: a product entry by its pair (row, col), a row of a difference by its
+pair (row_a, row_e).  Each entry is computed once, by the field's rule, when
+first read, and kept until the block exits.  Over F_q there are q^(2k) pairs
+of rows of length k, so the table stays small beside a stream that walks
+that many elements; a sweep opens one over such a stream.
 """
 
 from __future__ import annotations
@@ -168,7 +176,7 @@ class Matrix:
         return Matrix._unchecked(self.field, self._entrywise(self.field.add, other))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return _recall(("-", self, other), Matrix._difference, self, other)
+        return recall(("-", self, other), Matrix._difference, self, other)
 
     def _difference(self, other: "Matrix") -> "Matrix":
         return Matrix._unchecked(self.field, self.difference_rows(other))
@@ -176,22 +184,32 @@ class Matrix:
     def difference_rows(self, other: "Matrix") -> tuple:
         """The rows of raw values of self - other, which raises what `-`
         raises on operands of different fields or shapes; no Matrix and no
-        memo entry is made."""
-        return self._entrywise(self.field.sub, other)
+        memo entry is made.  An open entry table for the field supplies each
+        row difference."""
+        table = _table_for(self.field)
+        if table is None:
+            return self._entrywise(self.field.sub, other)
+        self._check(other)
+        return tuple(map(table.differences.__getitem__, zip(self.values, other.values)))
 
     def __neg__(self) -> "Matrix":
-        return _recall(("-", self), Matrix._negation, self)
+        return recall(("-", self), Matrix._negation, self)
 
     def _negation(self) -> "Matrix":
         neg = self.field.neg
         return Matrix._unchecked(self.field, tuple([tuple(map(neg, r)) for r in self.values]))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        return _recall((self, other), Matrix._product, self, other)
+        return recall((self, other), Matrix._product, self, other)
 
     def _product(self, other: "Matrix") -> "Matrix":
-        dot, cols = self.field.dot, self._factor_columns(other)
-        return Matrix._unchecked(self.field, tuple([tuple([dot(row, col) for col in cols])
+        cols, table = self._factor_columns(other), _table_for(self.field)
+        if table is None:
+            dot = self.field.dot
+            return Matrix._unchecked(self.field, tuple([tuple([dot(row, col) for col in cols])
+                                                        for row in self.values]))
+        dots = table.dots
+        return Matrix._unchecked(self.field, tuple([tuple([dots[row, col] for col in cols])
                                                     for row in self.values]))
 
     def _factor_columns(self, other: "Matrix") -> tuple:
@@ -214,7 +232,7 @@ class Matrix:
 
     def star(self) -> "Matrix":
         """Conjugate transpose, the ring involution."""
-        return _recall(self, Matrix._adjoint, self)
+        return recall(self, Matrix._adjoint, self)
 
     def _adjoint(self) -> "Matrix":
         rows = self.rows
@@ -228,7 +246,7 @@ class Matrix:
 
         Read from the one reduction of [A | I] that `try_invert` reads too.
         """
-        return _recall(("rref", self), Matrix._reduction, self)[0]
+        return recall(("rref", self), Matrix._reduction, self)[0]
 
     def _reduction(self) -> tuple[tuple["Matrix", int, tuple[int, ...]], "Matrix | None"]:
         """Gauss-Jordan on [A | I]: the left half ends as rref(A) (the row
@@ -266,7 +284,7 @@ class Matrix:
         """Two-sided inverse of a square matrix, or None when rank < n: the
         right half of the reduction of [A | I] that `rref` reads."""
         self.n  # square only
-        return _recall(("rref", self), Matrix._reduction, self)[1]
+        return recall(("rref", self), Matrix._reduction, self)[1]
 
     # -- text format -----------------------------------------------------------
 
@@ -288,14 +306,16 @@ class Matrix:
 
 # The open memo of this context: one dict from an operation and its operands,
 # by value, to the result.  A product is keyed (x, y), an adjoint x alone, a
-# difference ("-", x, y), a negation ("-", x) and a row reduction
-# ("rref", x), so no two kinds share a key.  One memo per context, so threads
-# sweeping at once do not share one.
+# difference ("-", x, y), a negation ("-", x), a row reduction ("rref", x)
+# and the verdict of a full projection test, which `classify.is_projection`
+# keeps, ("PE", x), so no two kinds share a key.  One memo per context, so
+# threads sweeping at once do not share one.
 _MEMO: ContextVar[dict | None] = ContextVar("starring_product_memo", default=None)
 
 
-def _recall(key, compute, *operands):
-    """compute(*operands), or inside a memo block the result stored under key."""
+def recall(key, compute, *operands):
+    """compute(*operands), or inside a memo block the result stored under key;
+    a result is never None."""
     memo = _MEMO.get()
     if memo is None:
         return compute(*operands)
@@ -356,12 +376,21 @@ def entries_agree(field, rows, cols, other_rows, other_cols) -> bool:
     A grid is given by rows of raw values and cols: with cols None it is the
     rows themselves; otherwise it is the product of the rows by the columns
     cols, whose entries are computed by field.dot one at a time as they are
-    read, so the entries past the first that differs are never computed.
+    read, or read from the open entry table for field, so the entries past
+    the first that differs are never computed.
     """
-    dot = field.dot
-    entries = chain.from_iterable(rows) if cols is None else starmap(dot, product(rows, cols))
-    other = (chain.from_iterable(other_rows) if other_cols is None
-             else starmap(dot, product(other_rows, other_cols)))
+    table = _table_for(field)
+    if table is None:
+        dot = field.dot
+        entries = chain.from_iterable(rows) if cols is None else starmap(dot, product(rows, cols))
+        other = (chain.from_iterable(other_rows) if other_cols is None
+                 else starmap(dot, product(other_rows, other_cols)))
+    else:
+        # product yields the (row, col) pairs that key the table's dots
+        read = table.dots.__getitem__
+        entries = chain.from_iterable(rows) if cols is None else map(read, product(rows, cols))
+        other = (chain.from_iterable(other_rows) if other_cols is None
+                 else map(read, product(other_rows, other_cols)))
     # one field, so entries are equal exactly when their raw values are
     return all(map(eq, entries, other))
 
@@ -381,6 +410,72 @@ def product_memo():
         yield
     finally:
         _MEMO.reset(token)
+
+
+class _Dots(dict):
+    """field.dot(row, col) by the pair (row, col), computed on first read."""
+
+    __slots__ = ("field",)
+
+    def __missing__(self, key):
+        # the rule is read at each miss, so a rule replaced later is the one run
+        value = self[key] = self.field.dot(*key)
+        return value
+
+
+class _Differences(dict):
+    """The raw row row_a - row_e by the pair (row_a, row_e), computed on
+    first read."""
+
+    __slots__ = ("field",)
+
+    def __missing__(self, key):
+        value = self[key] = tuple(map(self.field.sub, *key))
+        return value
+
+
+class EntryTable:
+    """The open table of one field: `dots` and `differences`, two dicts from
+    pairs of raw rows to their dot and to their difference."""
+
+    __slots__ = ("field", "dots", "differences")
+
+    def __init__(self, field: FieldDescriptor):
+        self.field, self.dots, self.differences = field, _Dots(), _Differences()
+        self.dots.field = self.differences.field = field
+
+
+# The open entry table of this context, or None: one per context, so threads
+# sweeping at once do not share one.
+_TABLE: ContextVar[EntryTable | None] = ContextVar("starring_dot_table", default=None)
+
+
+def _table_for(field: FieldDescriptor) -> EntryTable | None:
+    """The open entry table, if it is one for field."""
+    table = _TABLE.get()
+    return table if table is not None and table.field is field else None
+
+
+@contextmanager
+def dot_table(field: FieldDescriptor):
+    """Read every product entry and row difference over `field` from one
+    table until the block exits, computing each distinct one once.
+
+    Yields the EntryTable.  Its dots are keyed (row, col) and its
+    differences (row_a, row_e), each by the raw values of its rows, so an
+    entry is shared by every product and difference that reads the same
+    rows, whichever matrices hold them.  Matrices over other fields compute
+    as without the table.  The table only grows: it suits a block that
+    reads few distinct rows many times, as a sweep of a whole finite ring
+    does.  Blocks nest, the inner one starting empty; each thread has its
+    own.
+    """
+    table = EntryTable(field)
+    token = _TABLE.set(table)
+    try:
+        yield table
+    finally:
+        _TABLE.reset(token)
 
 
 def _gauss_jordan(rows: list[list[Scalar]], ncols: int) -> list[int]:

@@ -1,5 +1,6 @@
 """Generation, sweep orchestration, reports, and determinism."""
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -31,7 +32,7 @@ from starring.harness import (
     sweep,
 )
 from starring.matrix import Matrix, product_memo
-from starring.starfield import GAUSSIAN, RATIONAL, prime_field, quad_ext_field
+from starring.starfield import GAUSSIAN, RATIONAL, Scalar, prime_field, quad_ext_field
 from starring.theorems import Kind, Verdict, evaluate, registry, registry_map
 
 F2 = prime_field(2)
@@ -680,6 +681,7 @@ def test_a_sweep_in_another_thread_shares_no_table(monkeypatch):
     try:
         assert in_sweep.wait(timeout=60)
         assert classify_mod._VERDICTS.get() is None
+        assert matrix_mod._TABLE.get() is None  # the sweep's entry table is its own
         before = len(tested)
         assert is_projection(e) and len(tested) == before + 1
     finally:
@@ -689,14 +691,43 @@ def test_a_sweep_in_another_thread_shares_no_table(monkeypatch):
     assert digests == [dict(PINNED_REPORTS)[spec]]
 
 
+def _count_entries(monkeypatch, fields, active=lambda: True) -> dict:
+    """Counts of product entries taken while active(): "read", each lookup
+    in an entry table's dots and each run of a field's dot outside one, and
+    "computed", each run of the dot of one of `fields`."""
+    counts = {"read": 0, "computed": 0}
+    looking = []
+    lookup = dict.__getitem__
+
+    def counted_lookup(self, key):
+        counts["read"] += active()
+        looking.append(True)
+        try:
+            return lookup(self, key)
+        finally:
+            looking.pop()
+
+    def counted(dot):
+        def wrapper(self, xs, ys):
+            if active():
+                counts["computed"] += 1
+                counts["read"] += not looking
+            return dot(self, xs, ys)
+        return wrapper
+
+    monkeypatch.setattr(matrix_mod._Dots, "__getitem__", counted_lookup)
+    for field in fields:
+        monkeypatch.setattr(type(field), "dot", counted(type(field).dot))
+    return counts
+
+
 def test_entry_products_shared_through_the_memo(monkeypatch):
     # every product the registry entries take or compare, over all of M_2(F_3):
     # a statement read in another association order, or a loop that takes a
     # product per member that it could take once, changes this count
     spec = GeneratorSpec(Mode.EXHAUSTIVE, prime_field(3), 2)
-    evaluate_entry, dot = harness_mod.evaluate, type(spec.field).dot
+    evaluate_entry = harness_mod.evaluate
     inside = []
-    dots = []
 
     def evaluate(entry, bundle):
         inside.append(True)
@@ -705,13 +736,8 @@ def test_entry_products_shared_through_the_memo(monkeypatch):
         finally:
             inside.pop()
 
-    def counted_dot(self, xs, ys):
-        if inside:
-            dots.append(1)
-        return dot(self, xs, ys)
-
     monkeypatch.setattr(harness_mod, "evaluate", evaluate)
-    monkeypatch.setattr(type(spec.field), "dot", counted_dot)
+    counts = _count_entries(monkeypatch, [spec.field], lambda: bool(inside))
     report = sweep(spec, "all")
     assert report.totals["bothInvertible"] == 73 and report.totals["sep"] == 17
     # 11,008 with one hand-written function per entry and no product kept
@@ -724,7 +750,12 @@ def test_entry_products_shared_through_the_memo(monkeypatch):
     # while every projection test inside evaluate ran in full: the sweep's
     # projection table now answers each "in PE" claim on a ring element,
     # so the 3,696 dots of those repeated tests are gone
-    assert len(dots) == 7264
+    assert counts["read"] == 7264
+    # the sweep's entry table computes each distinct (row, col) dot once, and
+    # the projection table, bundles and derived elements have computed all
+    # of them before an entry reads one; 7,264, one per entry read, before
+    # the table
+    assert counts["computed"] == 0
 
 
 def test_gauss_jordan_runs_per_sweep(monkeypatch):
@@ -754,35 +785,157 @@ def test_gauss_jordan_runs_per_sweep(monkeypatch):
 
 
 def test_dot_runs_per_sweep(monkeypatch):
-    # every product entry a sweep builds or compares is one call of its
-    # field's dot, so these counts pin the arithmetic a sweep does: a faster
-    # matrix layer must reach the same verdicts with exactly as many entries
-    calls = []
-
-    def counted(dot):
-        def wrapper(self, xs, ys):
-            calls.append(1)
-            return dot(self, xs, ys)
-        return wrapper
-
-    for field in (F4, GAUSSIAN):
-        monkeypatch.setattr(type(field), "dot", counted(type(field).dot))
+    # every product entry a sweep builds or compares is read once, from the
+    # sweep's entry table or from a call of its field's dot, so the entries
+    # read pin the arithmetic a sweep asks for: a faster matrix layer must
+    # reach the same verdicts with exactly as many entries
+    counts = _count_entries(monkeypatch, [F4, GAUSSIAN])
     sweep(GeneratorSpec(Mode.EXHAUSTIVE, F4, 2), "all")
     # 95,016 while each of the sweep's 5,554 projection tests ran in full;
     # the projection table leaves one full test per element of the ring
     # (84,475).  L3.1 takes e e once per e, where the memo did not hold it
     # yet, rather than reading it entry by entry for each of e's partners
-    assert len(calls) == 82298
-    calls.clear()
+    assert counts["read"] == 82298
+    # the entry table computes each of the 16 x 16 pairs of a row and a
+    # column of F_4^2, and 16 of rows and columns of length 1, once; each
+    # read was a dot of its own (82,298) before the table
+    assert counts["computed"] == 272
+    counts.update(read=0, computed=0)
     rng = random.Random(1)  # the eight streams of bench sweep-qi-random, seed 1
     for _ in range(8):
         sweep(GeneratorSpec(Mode.RANDOM, GAUSSIAN, 3, sample_count=20,
                             seed=rng.randrange(2**32)), "all")
-    # no matrix these sweeps test for being a projection, past their own
-    # streams, equals a stream value, so the table changes no arithmetic here.
-    # 70,405 while the memo kept each L3.1 pair's a e and a - e: a pair
-    # drawn twice is now decided again
-    assert len(calls) == 71944
+    # no table over Q(i), so every entry read is a dot computed.  No matrix
+    # these sweeps test for being a projection, past their own streams,
+    # equals a stream value; 70,405 while the memo kept each L3.1 pair's
+    # a e and a - e (a pair drawn twice is now decided again), and 71,944
+    # while a matrix tested in full was tested again each time an entry
+    # asked: the element's memo now keeps its verdict
+    assert counts["read"] == counts["computed"] == 66184
+
+
+# -- the entry table -------------------------------------------------------------
+
+
+def _tables_seen(monkeypatch) -> list:
+    """A list that grows by the open entry table, or None, at each L3.1 check."""
+    seen, check = [], harness_mod.check_left_right_duality
+
+    def duality(e, a):
+        seen.append(matrix_mod._TABLE.get())
+        return check(e, a)
+
+    monkeypatch.setattr(harness_mod, "check_left_right_duality", duality)
+    return seen
+
+
+@pytest.mark.parametrize("spec, opens", [
+    (GeneratorSpec(Mode.EXHAUSTIVE, F3, 2), True),
+    (GeneratorSpec(Mode.RANDOM, F5, 2, sample_count=625, seed=1), True),
+    (GeneratorSpec(Mode.RANDOM, F5, 2, sample_count=624, seed=1), False),
+    (GeneratorSpec(Mode.RANDOM, GAUSSIAN, 2, sample_count=20, seed=1), False),
+    (GeneratorSpec(Mode.EXHAUSTIVE, F4, 1), False),
+], ids=["m2-f3-exhaustive", "f5-625", "f5-624", "qi", "n1-f4"])
+def test_entry_table_opens_for_streams_of_every_row_pair(spec, opens, monkeypatch):
+    # q^(2n) pairs of rows of length n over F_q, at most as many as the
+    # stream's elements; never over Q(i), nor at n = 1 (q^2 > q elements)
+    seen = _tables_seen(monkeypatch)
+    sweep(spec, ["X1"])
+    assert seen and len(set(map(id, seen))) == 1
+    table = seen[0]
+    assert (table is not None) is opens
+    if opens:
+        assert table.field is spec.field
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+def test_entry_table_dropped_when_the_sweep_ends(fail, monkeypatch):
+    spec = GeneratorSpec(Mode.EXHAUSTIVE, F2, 2)
+    seen = _tables_seen(monkeypatch)
+
+    def evaluate(entry, bundle):
+        if fail:
+            raise RuntimeError("entry failed")
+        return theorems_mod.evaluate(entry, bundle)
+
+    monkeypatch.setattr(harness_mod, "evaluate", evaluate)
+    if fail:
+        with pytest.raises(RuntimeError, match="entry failed"):
+            sweep(spec, "all")
+    else:
+        sweep(spec, "all")
+        assert seen and seen[0].field is F2
+    assert matrix_mod._TABLE.get() is None
+
+
+@pytest.mark.parametrize("spec, dots", [(GeneratorSpec(Mode.EXHAUSTIVE, F3, 2), 90),
+                                        (GeneratorSpec(Mode.EXHAUSTIVE, F4, 2), 272),
+                                        (GeneratorSpec(Mode.EXHAUSTIVE, F2, 3), 84)],
+                         ids=["m2-f3", "m2-f4", "m3-f2"])
+def test_entry_table_size_bound(spec, dots, monkeypatch):
+    # rows and columns of length r <= n: at most the sum of q^(2r) pairs per
+    # kind, below 4/3 q^(2n); the dots fill it, the shorter rows of the
+    # full-rank factors included
+    seen = _tables_seen(monkeypatch)
+    sweep(spec, "all")
+    table, q, n = seen[0], spec.field.size(), spec.dim
+    assert len(table.dots) == dots == sum(q ** (2 * r) for r in range(1, n + 1))
+    assert len(table.differences) <= q ** (2 * n)
+    assert 3 * max(len(table.dots), len(table.differences)) <= 4 * q ** (2 * n)
+
+
+@pytest.mark.parametrize("rule, pair", [("sub", (0, 1)), ("dot", ((1, 2), (0, 1)))])
+def test_faulty_rule_shows_through_the_table(rule, pair, monkeypatch):
+    # a rule wrong on one pair of values reaches the L3.1 verdicts through
+    # the table exactly as it does through the field's own loops
+    spec = GeneratorSpec(Mode.EXHAUSTIVE, F3, 2)
+    field_class = type(F3)
+    right = getattr(field_class, rule)
+
+    def wrong(self, x, y):
+        value = right(self, x, y)
+        return (value + 1) % self.p if self is F3 and (x, y) == pair else value
+
+    if rule == "sub":  # elimination keeps the true rule, or the bundles fail
+        monkeypatch.setattr(Scalar, "__sub__", lambda s, o: Scalar(
+            s.field, right(s.field, s.value, o.value)))
+    monkeypatch.setattr(field_class, rule, wrong)
+    seen = _tables_seen(monkeypatch)
+    tabled = sweep(spec, ["X1"])
+    assert seen[0] is not None and seen[0].field is F3
+    monkeypatch.setattr(harness_mod, "dot_table", lambda field: contextlib.nullcontext())
+    seen.clear()
+    plain = sweep(spec, ["X1"])
+    assert set(seen) == {None}
+    violations = tabled.lemmas["L3.1"]["violations"]
+    assert violations and violations == plain.lemmas["L3.1"]["violations"]
+    assert tabled.digest() == plain.digest()
+
+
+def test_projection_verdicts_kept_in_the_element_memo(monkeypatch):
+    # a matrix outside the projection table is tested in full once per
+    # element: the element's memo keeps its verdict under ("PE", x).  3,360
+    # full tests inside the element loops while every such test ran again
+    test = classify_mod._tested_projection
+    in_loop = []  # per full test: whether it ran inside an element's memo
+
+    def counted(e):
+        in_loop.append(matrix_mod._MEMO.get() is not None)
+        return test(e)
+
+    monkeypatch.setattr(classify_mod, "_tested_projection", counted)
+    rng = random.Random(1)  # the eight streams of bench sweep-qi-random, seed 1
+    for _ in range(8):
+        sweep(GeneratorSpec(Mode.RANDOM, GAUSSIAN, 3, sample_count=20,
+                            seed=rng.randrange(2**32)), "all")
+    # the projection tables' own tests, one per stream value, run before the loop
+    assert len(in_loop) == 160 + 800
+    assert sum(in_loop) == 800
+    with product_memo():
+        e = Matrix.from_ints(F3, [[1, 0], [0, 0]])
+        assert is_projection(e) and is_projection(Matrix.from_ints(F3, [[1, 0], [0, 0]]))
+        assert matrix_mod._MEMO.get()[("PE", e)] is True
+    assert len(in_loop) == 961
 
 
 def test_scalar_pools_built_once_per_stream(monkeypatch):
