@@ -23,7 +23,8 @@ the output records).
   `starring verify --exhaustive --format json` on each side for each whole
   ring in WHOLE_RINGS, which the battery does not sweep, and records the
   report's `wallTime`, the sha256 of the report without its `wallTime`
-  line and whether both sides' digests are equal, under "whole_rings".
+  line, the process's peak RSS and whether both sides' digests are equal,
+  under "whole_rings".
 
 The output JSON is read first if it exists, so several invocations build up
 one file.  For every workload and end-to-end metric the summary gives each
@@ -55,7 +56,7 @@ BATTERY_ROW = re.compile(r"^(\S+)\s+elements .*wallTime\s+([\d.]+)s\s+sha256 ([0
 BATTERY_TOTAL = re.compile(r"^total wall time ([\d.]+)s; (.*)$")
 #: the whole rings timed with the battery: name -> (--ring, --dim)
 WHOLE_RINGS = {"M_3(F_2)": ("f2", 3), "M_2(F_5)": ("f5", 2), "M_2(F_7)": ("f7", 2),
-               "M_2(F_9)": ("f32", 2)}
+               "M_2(F_9)": ("f32", 2), "M_2(F_11)": ("f11", 2)}
 
 
 def quartiles(values) -> dict:
@@ -166,16 +167,27 @@ def report_timing(text: str) -> dict:
 
 def run_whole_ring(tree: pathlib.Path, ring: str, dim: int) -> dict:
     """One exhaustive `starring verify` of M_dim(ring) on the sources in
-    `tree`: its exit status, `wallTime` and digest."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "starring.cli", "verify", "--ring", ring, "--dim", str(dim),
-         "--exhaustive", "--format", "json"],
-        cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
-        capture_output=True, text=True)
+    `tree`: its exit status, `wallTime`, digest and peak RSS.  The child is
+    reaped with os.wait4, whose resource usage is that child's alone, so
+    `peak_rss_mb` is the sweep's own high-water mark, entry tables
+    included."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "starring.cli", "verify", "--ring", ring, "--dim", str(dim),
+             "--exhaustive", "--format", "json"],
+            cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+            stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read().decode(), err.read().decode()
     if proc.returncode not in (0, 1):
         raise RuntimeError(f"verify --ring {ring} --dim {dim} failed in {tree} "
-                           f"(exit {proc.returncode}):\n{proc.stderr[-2000:]}")
-    return {"exit": proc.returncode, **report_timing(proc.stdout)}
+                           f"(exit {proc.returncode}):\n{stderr[-2000:]}")
+    # ru_maxrss is in KiB on Linux
+    return {"exit": proc.returncode, **report_timing(stdout),
+            "peak_rss_mb": round(usage.ru_maxrss / 1024, 2)}
 
 
 def extract(rev: str, dest: pathlib.Path) -> str:

@@ -17,7 +17,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 
-from .classify import is_sep, projection_verdicts
+from .classify import projection_verdicts
 from .geninv import InverseBundle
 from .matrix import MAX_DIMENSION, Matrix, dot_table, product_memo
 from .starfield import GAUSSIAN, RATIONAL, FieldDescriptor, prime_field, quad_ext_field
@@ -30,6 +30,7 @@ from .theorems import (
     evaluate,
     registry,
     registry_map,
+    target_holds,
 )
 
 REPORT_SCHEMA = "starring-report/1"
@@ -344,14 +345,23 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
     When the stream, over F_q with n x n elements, holds at least q^(2n)
     elements, as every exhaustive stream with n >= 2 does, the projection
     table and the element loop run inside one `dot_table(field)`: every
-    product entry and row difference is read from it, each distinct one
-    computed once for the whole sweep.  It holds at most the sum of
-    q^(2r) over r <= n, below 4/3 q^(2n) <= 4/3 len(stream), entries of
-    each kind, about 0.2 KB each (M_2(F_11): 28,391 entries, 5.7 MB more
-    peak RSS), so at most about 370 MB beside the stream's 200 MB at the
-    M_2(F_31) ceiling.  Over Q, Q(i), at n = 1 and for shorter streams
-    there is no table.  It is per thread, and dropped when the sweep
-    returns or raises.
+    product entry, row difference and row reduction is read from it, each
+    distinct one computed once for the whole sweep.  It holds at most the
+    sum of q^(2r) over r <= n, below 4/3 q^(2n) <= 4/3 len(stream), dots
+    and as many differences, about 0.2 KB each with rows of ints (M_2(F_11):
+    28,391 entries, 5.7 MB more peak RSS), so at most about 370 MB at the
+    M_2(F_31) ceiling.  Its reductions are one per distinct matrix reduced:
+    the nonzero ring elements and the r x r cores F* A G* and G F, at most
+    the sum of q^(r^2) over r <= n, so about len(stream), at about 0.16 KB
+    of peak RSS each and 0.25 KB counted object by object (M_2(F_11):
+    14,651 reductions, 35.4 -> 37.8 MB), so up to about 230 MB more at
+    M_2(F_31), extrapolated.  That is beside the stream's 200 MB.  Over Q, Q(i), at n = 1 and for shorter
+    streams there is no table, and each element's memo keeps its own
+    reductions.  It is per thread, and dropped when the sweep returns or
+    raises.
+
+    Each bundle keeps its SEP and PI verdicts (`theorems.target_holds`), so
+    the entries and the `sep` total test each class once per element.
     """
     spec.validate()
     entries = resolve_entries(entry_ids)
@@ -404,7 +414,7 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
                     totals["groupInvertible"] += 1
                 if bundle.has_mp and bundle.has_group:
                     totals["bothInvertible"] += 1
-                    if is_sep(bundle):
+                    if target_holds(Kind.SEP, bundle):
                         totals["sep"] += 1
                     for entry in sep_entries:
                         record(entry, bundle)

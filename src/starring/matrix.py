@@ -31,7 +31,13 @@ values: a product entry by its pair (row, col), a row of a difference by its
 pair (row_a, row_e).  Each entry is computed once, by the field's rule, when
 first read, and kept until the block exits.  Over F_q there are q^(2k) pairs
 of rows of length k, so the table stays small beside a stream that walks
-that many elements; a sweep opens one over such a stream.
+that many elements; a sweep opens one over such a stream.  The same table
+keeps the reduction of [A | I] of each matrix A over the field, by the raw
+values of A, for `rref` and `try_invert`: one Gauss-Jordan run per distinct
+matrix for the whole block, where the product memo keeps one per element.
+A reduction is kept as raw rows, its rows and pivots interned, so an entry
+costs about 0.25 KB (its dict slot, its own tuples, and the key when no
+stream matrix holds it); there are at most q^(k^2) of k x k matrices.
 """
 
 from __future__ import annotations
@@ -244,9 +250,14 @@ class Matrix:
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
         """Reduced row echelon form, rank and pivot columns, by exact Gauss-Jordan.
 
-        Read from the one reduction of [A | I] that `try_invert` reads too.
+        Read from the one reduction of [A | I] that `try_invert` reads too:
+        kept in the open entry table for the field, or else in the memo.
         """
-        return recall(("rref", self), Matrix._reduction, self)[0]
+        table = _table_for(self.field)
+        if table is None:
+            return recall(("rref", self), Matrix._reduction, self)[0]
+        reduced, pivots, _ = table.reductions[self.values]
+        return Matrix._unchecked(self.field, reduced), len(pivots), pivots
 
     def _reduction(self) -> tuple[tuple["Matrix", int, tuple[int, ...]], "Matrix | None"]:
         """Gauss-Jordan on [A | I]: the left half ends as rref(A) (the row
@@ -284,7 +295,11 @@ class Matrix:
         """Two-sided inverse of a square matrix, or None when rank < n: the
         right half of the reduction of [A | I] that `rref` reads."""
         self.n  # square only
-        return recall(("rref", self), Matrix._reduction, self)[1]
+        table = _table_for(self.field)
+        if table is None:
+            return recall(("rref", self), Matrix._reduction, self)[1]
+        inverse = table.reductions[self.values][2]
+        return None if inverse is None else Matrix._unchecked(self.field, inverse)
 
     # -- text format -----------------------------------------------------------
 
@@ -434,15 +449,38 @@ class _Differences(dict):
         return value
 
 
+class _Reductions(dict):
+    """The reduction of [A | I] by the raw values of A, computed on first
+    read by `Matrix._reduction` and kept as raw rows: the triple (rows of
+    rref(A), pivot columns, rows of A^-1 or None).  Rows and pivot tuples
+    are interned in `shared`, so an entry adds its own outer tuples only."""
+
+    __slots__ = ("field", "shared")
+
+    def __missing__(self, key):
+        (reduced, _, pivots), inverse = Matrix._reduction(Matrix._unchecked(self.field, key))
+        shared = self.shared
+
+        def intern(t):  # equal tuples are interchangeable, rows and pivots alike
+            return shared.setdefault(t, t)
+
+        value = self[key] = (intern(tuple(map(intern, reduced.values))), intern(pivots),
+                             None if inverse is None else tuple(map(intern, inverse.values)))
+        return value
+
+
 class EntryTable:
     """The open table of one field: `dots` and `differences`, two dicts from
-    pairs of raw rows to their dot and to their difference."""
+    pairs of raw rows to their dot and to their difference, and
+    `reductions`, from the raw values of a matrix to its reduction."""
 
-    __slots__ = ("field", "dots", "differences")
+    __slots__ = ("field", "dots", "differences", "reductions")
 
     def __init__(self, field: FieldDescriptor):
-        self.field, self.dots, self.differences = field, _Dots(), _Differences()
-        self.dots.field = self.differences.field = field
+        self.field = field
+        self.dots, self.differences, self.reductions = _Dots(), _Differences(), _Reductions()
+        self.dots.field = self.differences.field = self.reductions.field = field
+        self.reductions.shared = {}
 
 
 # The open entry table of this context, or None: one per context, so threads
@@ -458,17 +496,18 @@ def _table_for(field: FieldDescriptor) -> EntryTable | None:
 
 @contextmanager
 def dot_table(field: FieldDescriptor):
-    """Read every product entry and row difference over `field` from one
-    table until the block exits, computing each distinct one once.
+    """Read every product entry, row difference and row reduction over
+    `field` from one table until the block exits, computing each distinct
+    one once.
 
-    Yields the EntryTable.  Its dots are keyed (row, col) and its
-    differences (row_a, row_e), each by the raw values of its rows, so an
-    entry is shared by every product and difference that reads the same
-    rows, whichever matrices hold them.  Matrices over other fields compute
-    as without the table.  The table only grows: it suits a block that
-    reads few distinct rows many times, as a sweep of a whole finite ring
-    does.  Blocks nest, the inner one starting empty; each thread has its
-    own.
+    Yields the EntryTable.  Its dots are keyed (row, col), its differences
+    (row_a, row_e) and its reductions by a matrix's rows, each by raw
+    values, so an entry is shared by every product, difference and
+    elimination that reads the same rows, whichever matrices hold them.
+    Matrices over other fields compute as without the table.  The table
+    only grows: it suits a block that reads few distinct rows many times,
+    as a sweep of a whole finite ring does.  Blocks nest, the inner one
+    starting empty; each thread has its own.
     """
     table = EntryTable(field)
     token = _TABLE.set(table)

@@ -28,7 +28,9 @@ anywhere in this package.  A Q(i) value is one integer triple (p, q, d),
 meaning (p + q*i)/d, reduced by a single gcd per operation; a Q(i) `dot`
 sums its products over one common denominator and reduces once, and an F_p
 or F_{p^2} `dot` sums on the integers and reduces mod p once.  Only the
-token text of a Q(i) value goes through Fraction.
+token text of a Q(i) value goes through Fraction.  An F_{p^2} value a + b*w
+is one int, its enumeration index a*p + b, so equal values are equal ints
+and `element_at(i)` holds the raw value i.
 """
 
 from __future__ import annotations
@@ -415,10 +417,17 @@ class PrimeField(FieldDescriptor):
 
 
 class QuadExtField(FieldDescriptor):
-    """F_p[w]/(w^2 + ext_b*w + ext_c) with Frobenius; raw (a, b) is a + b*w."""
+    """F_p[w]/(w^2 + ext_b*w + ext_c) with Frobenius.
+
+    The raw value of a + b*w is its enumeration index a*p + b, one int in
+    [0, p^2), so a row of raw values is a flat tuple of ints.  Each rule
+    splits its operands with one divmod by p, computes on the coefficients
+    and recombines.
+    """
 
     kind = FieldKind.QUAD_EXT
     modular = True
+    is_zero = operator.not_  # a builtin, as on Q: zero is the index 0
 
     @property
     def name(self):
@@ -428,69 +437,79 @@ class QuadExtField(FieldDescriptor):
         return self.p * self.p
 
     def add(self, x, y):
-        return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)
+        p = self.p
+        a, b = divmod(x, p)
+        c, d = divmod(y, p)
+        return (a + c) % p * p + (b + d) % p
 
     def sub(self, x, y):
-        return ((x[0] - y[0]) % self.p, (x[1] - y[1]) % self.p)
+        p = self.p
+        a, b = divmod(x, p)
+        c, d = divmod(y, p)
+        return (a - c) % p * p + (b - d) % p
 
     def neg(self, x):
-        return (-x[0] % self.p, -x[1] % self.p)
+        p = self.p
+        a, b = divmod(x, p)
+        return -a % p * p + -b % p
 
     def mul(self, x, y):
         # (a + b*w)(c + d*w) with w^2 = -ext_b*w - ext_c
-        (a, b), (c, d) = x, y
-        p, bd = self.p, b * d
-        return ((a * c - self.ext_c * bd) % p, (a * d + b * c - self.ext_b * bd) % p)
+        p = self.p
+        a, b = divmod(x, p)
+        c, d = divmod(y, p)
+        bd = b * d
+        return (a * c - self.ext_c * bd) % p * p + (a * d + b * c - self.ext_b * bd) % p
 
     def dot(self, xs, ys):
         # the sum of (a + b*w)(c + d*w) is sum(ac) - ext_c*sum(bd) plus
         # (sum(ad + bc) - ext_b*sum(bd))*w: three integer sums, reduced once
+        p = self.p
         ac = bd = cross = 0
-        for (a, b), (c, d) in zip(xs, ys):
+        for x, y in zip(xs, ys):
+            a, b = divmod(x, p)
+            c, d = divmod(y, p)
             ac += a * c
             bd += b * d
             cross += a * d + b * c
-        p = self.p
-        return ((ac - self.ext_c * bd) % p, (cross - self.ext_b * bd) % p)
+        return (ac - self.ext_c * bd) % p * p + (cross - self.ext_b * bd) % p
 
     def inv(self, x):
         # Norm s * star(s) = a^2 - ext_b*a*b + ext_c*b^2 lies in the prime
         # subfield and is nonzero, so invert there.
-        a, b = x
         p = self.p
+        a, b = divmod(x, p)
         n_inv = pow((a * a - self.ext_b * a * b + self.ext_c * b * b) % p, p - 2, p)
-        return ((a - self.ext_b * b) * n_inv % p, -b * n_inv % p)
+        return (a - self.ext_b * b) * n_inv % p * p + -b * n_inv % p
 
     def star(self, x):
         # Frobenius: w^p is the other root of x^2 + b*x + c, namely -ext_b - w.
-        a, b = x
-        return ((a - self.ext_b * b) % self.p, -b % self.p)
-
-    def is_zero(self, x):
-        return not x[0] and not x[1]
+        p = self.p
+        a, b = divmod(x, p)
+        return (a - self.ext_b * b) % p * p + -b % p
 
     def token(self, x):
-        return f"{x[0]}+{x[1]}w"
+        return "{}+{}w".format(*divmod(x, self.p))
 
     def parse_value(self, token):
         p = self.p
         m = _QUADEXT_RE.fullmatch(token)
         if m:
-            return (int(m.group(1)) % p, int(m.group(2)) % p)
+            return int(m.group(1)) % p * p + int(m.group(2)) % p
         m = _QUADEXT_OMEGA_RE.fullmatch(token)
         if m:
-            return (0, int(m.group(1)) % p)
+            return int(m.group(1)) % p
         if token.isascii() and token.isdigit():
-            return (int(token) % p, 0)
+            return int(token) % p * p
         raise ScalarParseError(token)
 
     def from_int(self, k):
-        return Scalar(self, (k % self.p, 0))
+        return Scalar(self, k % self.p * self.p)
 
     def element_at(self, index):
         if not 0 <= index < self.p * self.p:
             raise IndexError(index)
-        return Scalar(self, divmod(index, self.p))
+        return Scalar(self, index)
 
 
 _FIELD_CLASSES = {c.kind: c for c in (RationalField, GaussianField, PrimeField, QuadExtField)}
@@ -501,7 +520,8 @@ class Scalar:
 
     Canonical forms: rationals are reduced fractions with positive
     denominator (guaranteed by Fraction), Gaussian rationals are triples
-    (p, q, d) with d > 0 and gcd(p, q, d) = 1, residues lie in [0, p).
+    (p, q, d) with d > 0 and gcd(p, q, d) = 1, residues lie in [0, p),
+    and a + b*w in F_{p^2} is the index a*p + b in [0, p^2).
     Scalars are immutable; arithmetic returns new values.
     """
 

@@ -33,9 +33,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
+from functools import partial, reduce
 from itertools import groupby
-from typing import Callable
+from typing import Callable, NamedTuple
 
 # The conditions call the relation predicates, is_projection, products_equal
 # and derived_elements by name through this module's globals, at call time.
@@ -78,8 +78,7 @@ class TheoremEntry:
         return "x" if self.id.startswith("X") else self.id[1]
 
 
-@dataclass(frozen=True)
-class TheoremCase:
+class TheoremCase(NamedTuple):
     """One evaluation: for entry X3 sep_holds records the PI truth value."""
 
     theorem_id: str
@@ -292,16 +291,21 @@ def registry_map() -> dict[str, TheoremEntry]:
     return {e.id: e for e in _ENTRIES}
 
 
+def target_holds(kind: Kind, b: InverseBundle) -> bool:
+    """Whether b is in the class that entries of this kind target: is_pi(b)
+    for Kind.PI, is_sep(b) for Kind.SEP.  Kept in the bundle, so each class
+    is tested once per bundle however many entries ask."""
+    return b.cached(kind, partial(is_pi if kind is Kind.PI else is_sep, b))
+
+
 def evaluate(entry: TheoremEntry, b: InverseBundle) -> TheoremCase:
     """Evaluate one entry on one bundle and compare against the target class."""
     if entry.kind is Kind.PI:
         if not b.has_mp:
             raise ValueError(f"{entry.id} needs an MP-invertible element")
-        target = is_pi(b)
-    else:
-        if not (b.has_mp and b.has_group):
-            raise ValueError(f"{entry.id} needs a group-and-MP-invertible element")
-        target = is_sep(b)
+    elif not (b.has_mp and b.has_group):
+        raise ValueError(f"{entry.id} needs a group-and-MP-invertible element")
+    target = target_holds(entry.kind, b)
     cond = bool(entry.condition(b))
     verdict = Verdict.CONSISTENT if cond == target else Verdict.COUNTEREXAMPLE
     return TheoremCase(entry.id, b.a, cond, target, verdict)
@@ -340,6 +344,11 @@ def check_projection_sandwich(a, x: Matrix) -> Verdict:
     sweep, x is a stream value, so the test that it is a projection is a
     lookup in the sweep's projection table; it stays, since a caller outside
     a sweep may pass any matrix.
+
+    Both sandwiches are taken around P = a a^+ and Q = a^+ a, which the
+    element's memo keeps across its x: the hypothesis as (P x) Q, compared
+    without building it, and the conclusion's element as (Q x) P.  By
+    associativity these are the statement's products.
     """
     if isinstance(a, InverseBundle):
         bundle = a
@@ -350,7 +359,7 @@ def check_projection_sandwich(a, x: Matrix) -> Verdict:
     if not is_projection(x):
         raise ValueError("lemma L2.8 needs a projection for x")
     a_m, d = bundle.a, bundle.mp
-    if not products_equal(x, (a_m * d * x * d, a_m)):
+    p, q = a_m * d, d * a_m
+    if not products_equal(x, (p * x, q)):
         return Verdict.VACUOUS
-    inner = d * a_m * x * a_m * d
-    return Verdict.CONSISTENT if is_projection(inner) else Verdict.COUNTEREXAMPLE
+    return Verdict.CONSISTENT if is_projection(q * x * p) else Verdict.COUNTEREXAMPLE

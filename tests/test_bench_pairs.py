@@ -127,11 +127,14 @@ def test_run_whole_ring_runs_the_cli_on_a_tree():
     result = bench_pairs.run_whole_ring(bench_pairs.ROOT, "f3", 2)
     spec = GeneratorSpec(Mode.EXHAUSTIVE, prime_field(3), 2)
     assert result["exit"] == 0 and result["wallTime_s"] > 0
+    # the child's own high-water mark: an interpreter with the package loaded
+    assert 5 < result["peak_rss_mb"] < 500
     assert result["sha256"] == sweep(spec, "all").digest()
     with pytest.raises(RuntimeError, match="exit 2"):
         bench_pairs.run_whole_ring(bench_pairs.ROOT, "f1", 2)  # no field F_1
     # each named ring is the one its flags select: M_3(F_2), M_2(F_5),
-    # M_2(F_7) and M_2(F_9)
+    # M_2(F_7), M_2(F_9) and M_2(F_11)
     sizes = {name: parse_ring(ring).size() ** (dim * dim)
              for name, (ring, dim) in bench_pairs.WHOLE_RINGS.items()}
-    assert sizes == {"M_3(F_2)": 512, "M_2(F_5)": 625, "M_2(F_7)": 2401, "M_2(F_9)": 6561}
+    assert sizes == {"M_3(F_2)": 512, "M_2(F_5)": 625, "M_2(F_7)": 2401, "M_2(F_9)": 6561,
+                     "M_2(F_11)": 14641}

@@ -763,7 +763,9 @@ def test_gauss_jordan_runs_per_sweep(monkeypatch):
     # its rank, factorization and inverse: an invertible element and its
     # inverse (reduced for the derived elements) take one pass each.  960 and
     # 1,305 when rref and try_invert each ran their own pass and invertible
-    # elements took their inverses through the factorization formulas.
+    # elements took their inverses through the factorization formulas.  A
+    # sweep with an entry table reduces each distinct matrix once for the
+    # whole sweep instead.
     eliminate = matrix_mod._gauss_jordan
     runs = []
 
@@ -781,7 +783,13 @@ def test_gauss_jordan_runs_per_sweep(monkeypatch):
     runs.clear()
     report = sweep(GeneratorSpec(Mode.EXHAUSTIVE, F4, 2), "all")
     assert report.totals["bothInvertible"] == 187
-    assert len(runs) == 566
+    # the entry table keeps each reduction for the sweep: the 255 nonzero
+    # 2 x 2 elements and the 4 values of a 1 x 1 core, F* A G* or G F, each
+    # reduced once.  566 while each element's memo kept its own reductions
+    # (423 of 2 x 2 matrices, since a^+ and a^# are reduced again for the
+    # derived elements, and 143 of 1 x 1 cores)
+    assert len(runs) == 259
+    assert runs.count(2) == 255 and runs.count(1) == 4
 
 
 def test_dot_runs_per_sweep(monkeypatch):
@@ -795,7 +803,10 @@ def test_dot_runs_per_sweep(monkeypatch):
     # the projection table leaves one full test per element of the ring
     # (84,475).  L3.1 takes e e once per e, where the memo did not hold it
     # yet, rather than reading it entry by entry for each of e's partners
-    assert counts["read"] == 82298
+    # (82,298).  L2.8 takes its sandwiches around a a^+ and a^+ a, which the
+    # element's memo keeps: each (a, x) builds P x, Q x and (Q x) P and
+    # compares (P x) Q without building it, where it built five products
+    assert counts["read"] == 77710
     # the entry table computes each of the 16 x 16 pairs of a row and a
     # column of F_4^2, and 16 of rows and columns of length 1, once; each
     # read was a dot of its own (82,298) before the table
@@ -882,6 +893,143 @@ def test_entry_table_size_bound(spec, dots, monkeypatch):
     assert len(table.dots) == dots == sum(q ** (2 * r) for r in range(1, n + 1))
     assert len(table.differences) <= q ** (2 * n)
     assert 3 * max(len(table.dots), len(table.differences)) <= 4 * q ** (2 * n)
+
+
+def _fresh_reduction(field, values):
+    """The reduction of a matrix by a Gauss-Jordan run of its own, as raw
+    values: (rows of its rref, pivots, rows of its inverse or None)."""
+    (reduced, rank, pivots), inverse = Matrix._unchecked(field, values)._reduction()
+    assert rank == len(pivots)
+    return reduced.values, pivots, None if inverse is None else inverse.values
+
+
+@pytest.mark.parametrize("spec", [GeneratorSpec(Mode.EXHAUSTIVE, F3, 2),
+                                  GeneratorSpec(Mode.EXHAUSTIVE, F4, 2)],
+                         ids=["m2-f3", "m2-f4"])
+def test_reductions_read_from_the_table_equal_fresh_ones(spec, monkeypatch):
+    reduce = Matrix._reduction
+    runs, reads = [], []
+
+    def counted(self):
+        runs.append(self.values)
+        return reduce(self)
+
+    rref, try_invert = Matrix.rref, Matrix.try_invert
+
+    def read_rref(self):
+        result = rref(self)
+        reads.append(("rref", self.values, result))
+        return result
+
+    def read_inverse(self):
+        result = try_invert(self)
+        reads.append(("inverse", self.values, result))
+        return result
+
+    monkeypatch.setattr(Matrix, "_reduction", counted)
+    monkeypatch.setattr(Matrix, "rref", read_rref)
+    monkeypatch.setattr(Matrix, "try_invert", read_inverse)
+    seen = _tables_seen(monkeypatch)
+    report = sweep(spec, "all")
+    monkeypatch.undo()
+    assert report.digest() == dict(PINNED_REPORTS)[spec]
+    table = seen[0]
+    # one Gauss-Jordan run per distinct matrix, each kept in the table
+    assert len(runs) == len(set(runs)) == len(table.reductions)
+    for values, (reduced, pivots, inverse) in table.reductions.items():
+        assert (reduced, pivots, inverse) == _fresh_reduction(spec.field, values)
+    # every rref and inverse the sweep read is that of a fresh reduction
+    assert reads
+    for kind, values, result in reads:
+        fresh_reduced, fresh_pivots, fresh_inverse = _fresh_reduction(spec.field, values)
+        if kind == "rref":
+            reduced, rank, pivots = result
+            assert (reduced.values, rank, pivots) == (fresh_reduced, len(fresh_pivots),
+                                                     fresh_pivots)
+            assert reduced.field is spec.field
+        else:
+            assert (None if result is None else result.values) == fresh_inverse
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(Mode.RANDOM, RATIONAL, 2, sample_count=20, seed=1),
+    GeneratorSpec(Mode.RANDOM, GAUSSIAN, 2, sample_count=20, seed=1),
+    GeneratorSpec(Mode.EXHAUSTIVE, F4, 1),
+], ids=["q", "qi", "n1-f4"])
+def test_sweeps_without_a_table_keep_reductions_in_the_memo(spec, monkeypatch):
+    # no entry table opens over Q, Q(i) or at n = 1, so no reduction is
+    # kept past its element's memo
+    missing = []
+    fill = matrix_mod._Reductions.__missing__
+
+    def counted(self, key):
+        missing.append(key)
+        return fill(self, key)
+
+    monkeypatch.setattr(matrix_mod._Reductions, "__missing__", counted)
+    seen = _tables_seen(monkeypatch)
+    sweep(spec, "all")
+    assert seen and set(seen) == {None} and missing == []
+
+
+def test_reduction_table_per_thread_and_dropped(monkeypatch):
+    # a sweep in another thread keeps its reductions to itself, and once it
+    # ends, reductions are taken afresh outside a memo
+    spec = GeneratorSpec(Mode.EXHAUSTIVE, F3, 2)
+    a = Matrix.from_ints(F3, [[1, 2], [2, 1]])
+    in_sweep, checked = threading.Event(), threading.Event()
+    evaluate_entry = harness_mod.evaluate
+    tables = []
+
+    def evaluate(entry, bundle):
+        table = matrix_mod._TABLE.get()
+        if not in_sweep.is_set() and table.reductions:  # past the zero element
+            tables.append(table)
+            in_sweep.set()
+            checked.wait(timeout=60)
+        return evaluate_entry(entry, bundle)
+
+    monkeypatch.setattr(harness_mod, "evaluate", evaluate)
+    thread = threading.Thread(target=lambda: sweep(spec, "all"))
+    thread.start()
+    try:
+        assert in_sweep.wait(timeout=60)
+        filled = len(tables[0].reductions)
+        assert filled and matrix_mod._TABLE.get() is None
+        assert a.rref() is not a.rref() and a.rank() == 1
+        assert len(tables[0].reductions) == filled  # this thread added nothing
+    finally:
+        checked.set()
+        thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert matrix_mod._TABLE.get() is None
+    assert a.rref()[0] is not a.rref()[0]
+
+
+def test_target_classes_tested_once_per_bundle(monkeypatch):
+    # evaluate and the sweep's sep total read each bundle's SEP and PI
+    # verdicts from the bundle; 5,610 runs of is_sep on M_2(F_4) while each
+    # evaluation tested the class again
+    calls = {"sep": [], "pi": []}
+    classify_sep, classify_pi = theorems_mod.is_sep, theorems_mod.is_pi
+
+    def is_sep(b):
+        calls["sep"].append(b)
+        return classify_sep(b)
+
+    def is_pi(b):
+        calls["pi"].append(b)
+        return classify_pi(b)
+
+    monkeypatch.setattr(theorems_mod, "is_sep", is_sep)
+    monkeypatch.setattr(theorems_mod, "is_pi", is_pi)
+    report = sweep(GeneratorSpec(Mode.EXHAUSTIVE, F4, 2), "all")
+    totals = report.totals
+    for kind, bundles in calls.items():
+        assert len(bundles) == len(set(map(id, bundles)))  # at most once each
+    assert len(calls["sep"]) == totals["bothInvertible"] == 187
+    assert len(calls["pi"]) == totals["mpInvertible"]
+    assert sum(classify_sep(b) for b in calls["sep"]) == totals["sep"] == 25
 
 
 @pytest.mark.parametrize("rule, pair", [("sub", (0, 1)), ("dot", ((1, 2), (0, 1)))])

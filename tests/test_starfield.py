@@ -1,6 +1,7 @@
 """Scalar arithmetic, involution axioms, and the text grammar."""
 
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -80,10 +81,11 @@ def test_quadext_mul_matches_polynomial_oracle():
 
     omega = F4.parse("1w")
     assert oracle((0, 1), (0, 1)) == (1, 1)
-    assert (omega * omega).value == (1, 1)
+    # a raw value is the index a*p + b of a + b*w
+    assert divmod((omega * omega).value, p) == (1, 1)
     for u in F4.elements():
         for v in F4.elements():
-            assert (u * v).value == oracle(u.value, v.value)
+            assert divmod((u * v).value, p) == oracle(divmod(u.value, p), divmod(v.value, p))
 
 
 def test_scalar_inv_examples():
@@ -130,6 +132,83 @@ def test_gaussian_rules_match_fraction_formulas(x, y):
     for s, (re, im) in ((u, x), (u * v, (a * c - b * d, a * d + b * c))):
         assert s.token() == f"{re}{'-' if im < 0 else '+'}{abs(im)}i"
         assert GAUSSIAN.parse(s.token()) == s
+
+
+class _PairRules:
+    """The rules of F_p[w]/(w^2 + b0*w + c0) on pairs (a, b) meaning a + b*w,
+    as F_{p^2} computed on them before its raw values became indices: the
+    reference the index rules must match."""
+
+    def __init__(self, field):
+        self.p, self.b0, self.c0 = field.p, field.ext_b, field.ext_c
+
+    def add(self, x, y):
+        return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)
+
+    def sub(self, x, y):
+        return ((x[0] - y[0]) % self.p, (x[1] - y[1]) % self.p)
+
+    def neg(self, x):
+        return (-x[0] % self.p, -x[1] % self.p)
+
+    def mul(self, x, y):
+        (a, b), (c, d) = x, y
+        p, bd = self.p, b * d
+        return ((a * c - self.c0 * bd) % p, (a * d + b * c - self.b0 * bd) % p)
+
+    def dot(self, xs, ys):
+        acc = (0, 0)
+        for x, y in zip(xs, ys):
+            acc = self.add(acc, self.mul(x, y))
+        return acc
+
+    def star(self, x):
+        # w^p = -b0 - w, the other root of the modulus
+        a, b = x
+        return ((a - self.b0 * b) % self.p, -b % self.p)
+
+
+# F_4, F_9, F_25, F_49 and F_{p^2} for the largest prime p below 10^9
+QUAD_FIELDS = [F4, F9, F25, quad_ext_field(7), quad_ext_field(999_999_937)]
+
+
+@pytest.mark.parametrize("field", QUAD_FIELDS, ids=lambda f: f.name)
+@given(data=st.data())
+def test_quad_ext_index_rules_match_pair_formulas(field, data):
+    p, ref = field.p, _PairRules(field)
+    pair = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
+    x, y = data.draw(pair), data.draw(pair)
+    xs = data.draw(st.lists(pair, min_size=1, max_size=6))
+    ys = data.draw(st.lists(pair, min_size=len(xs), max_size=len(xs)))
+
+    def index(v):
+        return v[0] * p + v[1]
+
+    u, v = index(x), index(y)
+    assert field.element_at(u).value == u and divmod(u, p) == x
+    for rule in ("add", "sub", "mul"):
+        got = getattr(field, rule)(u, v)
+        assert type(got) is int and divmod(got, p) == getattr(ref, rule)(x, y)
+    assert divmod(field.neg(u), p) == ref.neg(x)
+    assert divmod(field.star(u), p) == ref.star(x)
+    if u:  # the inverse, checked by the reference product
+        assert ref.mul(x, divmod(field.inv(u), p)) == (1, 0)
+    assert field.is_zero(u) is (x == (0, 0))
+    assert divmod(field.dot(list(map(index, xs)), list(map(index, ys))), p) == ref.dot(xs, ys)
+    # the token spells the pair, and parses back to the index
+    s = Scalar(field, u)
+    assert s.token() == f"{x[0]}+{x[1]}w" and field.parse(s.token()) == s
+
+
+@pytest.mark.parametrize("field", QUAD_FIELDS[:4], ids=lambda f: f.name)
+def test_quad_ext_enumeration_is_pair_order(field):
+    # element_at walks the pairs (a, b) lexicographically, a the most
+    # significant, so the raw value of element i is i
+    p = field.p
+    pairs = list(itertools.product(range(p), repeat=2))
+    assert [divmod(s.value, p) for s in field.elements()] == pairs
+    assert [s.value for s in field.elements()] == list(range(p * p))
+    assert [s.token() for s in field.elements()] == [f"{a}+{b}w" for a, b in pairs]
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
@@ -252,7 +331,7 @@ def test_frobenius_is_pth_power(field):
 
 @pytest.mark.parametrize("field", [F4, F9, F25])
 def test_frobenius_fixes_exactly_prime_subfield(field):
-    fixed = {s.value for s in field.elements() if s.star() == s}
+    fixed = {divmod(s.value, field.p) for s in field.elements() if s.star() == s}
     assert fixed == {(x, 0) for x in range(field.p)}
 
 
@@ -309,8 +388,10 @@ def test_parse_reduces_to_canonical_form():
     assert F3.parse("-1") == F3.from_int(2)
     assert RATIONAL.parse("4/6") == RATIONAL.rational(2, 3)
     assert GAUSSIAN.parse("2/4+2/2i") == GAUSSIAN.gaussian(1, 1, 2, 1)
-    assert F4.parse("1w") == Scalar(F4, (0, 1))
-    assert F4.parse("1") == Scalar(F4, (1, 0))
+    # the raw value of a + b*w is its index a*p + b
+    assert F4.parse("1w") == Scalar(F4, 0 * 2 + 1)
+    assert F4.parse("1") == Scalar(F4, 1 * 2 + 0)
+    assert F9.parse("4+5w") == Scalar(F9, 1 * 3 + 2)
 
 
 @pytest.mark.parametrize("field,token", [
@@ -402,7 +483,8 @@ def test_threads_building_one_field_get_one_object():
 
 def test_enumeration_order():
     assert [s.token() for s in F3.elements()] == ["0", "1", "2"]
-    assert [s.value for s in F4.elements()] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [divmod(s.value, 2) for s in F4.elements()] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [s.value for s in F4.elements()] == [0, 1, 2, 3]
     assert F9.size() == 9 and F3.size() == 3 and RATIONAL.size() is None
 
 

@@ -210,6 +210,40 @@ def test_sandwich_accepts_bundle():
     assert check_projection_sandwich(b, x) is Verdict.CONSISTENT
 
 
+def _literal_sandwich(b, x):
+    # L2.8 with each product taken left to right, as the statement reads
+    a, d = b.a, b.mp
+    if x != a * d * x * d * a:
+        return Verdict.VACUOUS
+    inner = d * a * x * a * d
+    return Verdict.CONSISTENT if is_projection(inner) else Verdict.COUNTEREXAMPLE
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(Mode.EXHAUSTIVE, F3, 2),
+    GeneratorSpec(Mode.EXHAUSTIVE, quad_ext_field(2), 2),
+    harness_mod.BATTERY["constructed-sep-qi-dim3"],
+], ids=["m2-f3", "m2-f4", "constructed-sep-qi-dim3"])
+def test_sandwich_agrees_with_the_literal_order(spec):
+    # every (a, x) of the stream, outside a memo and in one memo per a as a
+    # sweep opens it: the sandwiches around a a^+ and a^+ a give the
+    # verdicts of the chain of products the statement spells
+    stream = list(generate(spec))
+    projections = [x for x in dict.fromkeys(stream) if is_projection(x)]
+    verdicts = []
+    for a in stream:
+        b = InverseBundle.compute(a)
+        if not b.has_mp:
+            continue
+        want = [_literal_sandwich(b, x) for x in projections]
+        assert [check_projection_sandwich(b, x) for x in projections] == want
+        with product_memo():
+            memo_b = InverseBundle.compute(a)
+            assert [check_projection_sandwich(memo_b, x) for x in projections] == want
+        verdicts += want
+    assert Verdict.CONSISTENT in verdicts  # non-vacuous checks were made
+
+
 def test_duality_trivial_cases():
     a = frac_matrix([[1, 2], [3, 4]])
     z = Matrix.zeros(RATIONAL, 2)
