@@ -18,14 +18,15 @@ of the same keys while the stream was held too, so the peak grows by at
 most that dict (tracemalloc's peak for M_2(F_7): 1.36 MiB with the scan,
 1.43 MiB with the table).  A stream of at least q^(2n) elements over F_q,
 as an exhaustive one at n >= 2 is, also keeps one entry table for the sweep:
-at most 4/3 q^(2n) product entries and as many row differences, about
-0.2 KB each (rows are tuples of ints over F_p and F_{p^2} alike), so up to
-about 370 MB at M_2(F_31), and one row reduction per distinct matrix
-reduced, about one per ring element at about 0.16 to 0.25 KB each, so up
-to about 230 MB more there; all of it beside the stream's 200 MB.  Peak
-RSS of `verify --ring f11 --dim 2 --exhaustive`: 35.4 MB without the kept
-reductions, 37.8 MB with them.  The M_2(F_31) figures are extrapolated,
-not run.
+two planes of slots for the dots and differences of at most 4/3 q^(2n)
+pairs of rows, 8 bytes a slot, so about 15 MB at M_2(F_31); the one matrix
+of each value the sweep builds, about one per ring element, with about
+0.3 KB of row and column numbers, picker and intern slot, so about 270 MB
+there; and one row reduction per distinct matrix reduced, about one per
+ring element at about 0.16 to 0.25 KB each, so up to about 230 MB more;
+all of it beside the stream's 200 MB.  Peak RSS of `verify --ring f11
+--dim 2 --exhaustive`: 34.4 MB, where a table keyed by pairs of raw rows
+took it to 37.7 MB.  The M_2(F_31) figures are extrapolated, not run.
 The named sweeps of the verification battery are `starring.harness.BATTERY`.
 """
 

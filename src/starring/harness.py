@@ -13,7 +13,7 @@ import itertools
 import json
 import random
 import time
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
 
@@ -326,10 +326,12 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
     registry entries, derived elements, L2.8 checks and the L3.1 pairs
     whose e it is run inside one `product_memo()`, so every distinct
     product, difference, negation and adjoint they ask for is computed once
-    for that element.  L3.1 reads e^2 there, which the entries already
-    took, or takes it once for all of e's partners; a pair adds nothing to
-    the memo, since it builds its difference as raw rows and reads its
-    other products entry by entry, so a pair drawn twice is decided again.
+    for that element.  A pair of L3.1 adds nothing to the memo, so a pair
+    drawn twice is decided again: without an entry table it reads e^2 from
+    the memo, where the entries took it or it is taken once for all of e's
+    partners, builds its difference as raw rows and reads its other
+    products entry by entry; under one, it reads all four products and the
+    difference from the table by row and column numbers.
     A memo holds its results only until its element is done, and it is per
     thread.
 
@@ -344,21 +346,29 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
 
     When the stream, over F_q with n x n elements, holds at least q^(2n)
     elements, as every exhaustive stream with n >= 2 does, the projection
-    table and the element loop run inside one `dot_table(field)`: every
-    product entry, row difference and row reduction is read from it, each
-    distinct one computed once for the whole sweep.  It holds at most the
-    sum of q^(2r) over r <= n, below 4/3 q^(2n) <= 4/3 len(stream), dots
-    and as many differences, about 0.2 KB each with rows of ints (M_2(F_11):
-    28,391 entries, 5.7 MB more peak RSS), so at most about 370 MB at the
-    M_2(F_31) ceiling.  Its reductions are one per distinct matrix reduced:
-    the nonzero ring elements and the r x r cores F* A G* and G F, at most
-    the sum of q^(r^2) over r <= n, so about len(stream), at about 0.16 KB
-    of peak RSS each and 0.25 KB counted object by object (M_2(F_11):
-    14,651 reductions, 35.4 -> 37.8 MB), so up to about 230 MB more at
-    M_2(F_31), extrapolated.  That is beside the stream's 200 MB.  Over Q, Q(i), at n = 1 and for shorter
-    streams there is no table, and each element's memo keeps its own
-    reductions.  It is per thread, and dropped when the sweep returns or
-    raises.
+    table and the element loop run inside one `dot_table(field)`, which
+    adopts the stream first: every matrix the sweep builds over the field
+    is the stream's own object of its value (or the table's one object of a
+    value outside the stream), so its hash and the numbers of its rows and
+    columns are computed once for the whole sweep, and every product entry,
+    row difference and row reduction is read from the table, each distinct
+    one computed once.  Its planes have a slot for each of at most the sum
+    of q^(2r) over r <= n pairs of rows, below 4/3 q^(2n) <= 4/3
+    len(stream), for a dot and for a difference, 8 bytes each, so about
+    15 MB at the M_2(F_31) ceiling.  Each matrix it numbers, about one per
+    ring element, keeps about 0.25 KB of row and column numbers and a
+    picker, and takes 40 bytes in the intern map (M_2(F_11): 14,892
+    matrices; the table adds 3.9 MB of peak RSS to the sweep, 30.0 ->
+    33.9 MB, where one keyed by pairs of raw rows added 8.0 MB), so about
+    270 MB at M_2(F_31), extrapolated.  Its reductions are one per
+    distinct matrix reduced: the nonzero ring elements and the r x r cores
+    F* A G* and G F, at most the sum of q^(r^2) over r <= n, so about
+    len(stream), at about 0.16 KB of peak RSS each and 0.25 KB counted
+    object by object (M_2(F_11): 14,651 reductions), so up to about 230 MB
+    more at M_2(F_31), extrapolated.  That is beside the stream's 200 MB.
+    Over Q, Q(i), at n = 1 and for shorter streams there is no table,
+    nothing is interned, and each element's memo keeps its own reductions.
+    It is per thread, and dropped when the sweep returns or raises.
 
     Each bundle keeps its SEP and PI verdicts (`theorems.target_holds`), so
     the entries and the `sep` total test each class once per element.
@@ -402,8 +412,12 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
     # pair many times
     size = spec.field.size()
     tabled = size is not None and size ** (2 * spec.dim) <= len(stream)
-    with (dot_table(spec.field) if tabled else nullcontext(),
-          projection_verdicts(stream) as verdicts):
+    with ExitStack() as blocks:
+        table = blocks.enter_context(dot_table(spec.field)) if tabled else None
+        if table is not None:
+            # every matrix the sweep builds equal to a stream value is that value
+            table.adopt(stream)
+        verdicts = blocks.enter_context(projection_verdicts(stream))
         projections = [m for m, projection in verdicts.items() if projection]
         for i, m in enumerate(stream):
             with product_memo():

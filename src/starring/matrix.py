@@ -19,25 +19,37 @@ block per element.
 
 A product that is only compared is not built: `products_equal` decides an
 equality of products entry by entry and stops at the first entry that
-differs.  That comparison is `entries_agree`, which reads rows of raw
-values, so a caller holding raw rows of its own, as the L3.1 check does,
-compares through it too.  Each matrix keeps its columns in a slot filled on
-first use, as it keeps its hash, so a right factor is transposed once, not
-once per product.
+differs.  That comparison is `entries_agree`, which reads two grids' entries
+in step, and `product_entries` yields the entries of a product of raw rows
+and columns, each computed when it is reached, so a caller holding raw rows
+of its own, as the L3.1 check does, compares through them too.  Each matrix
+keeps its columns in a slot filled on first use, as it keeps its hash, so a
+right factor is transposed once, not once per product.
 
-Inside a `dot_table(field)` block, products, comparisons of products and
-differences over that field read their entries from one table keyed by raw
-values: a product entry by its pair (row, col), a row of a difference by its
-pair (row_a, row_e).  Each entry is computed once, by the field's rule, when
-first read, and kept until the block exits.  Over F_q there are q^(2k) pairs
-of rows of length k, so the table stays small beside a stream that walks
-that many elements; a sweep opens one over such a stream.  The same table
-keeps the reduction of [A | I] of each matrix A over the field, by the raw
-values of A, for `rref` and `try_invert`: one Gauss-Jordan run per distinct
-matrix for the whole block, where the product memo keeps one per element.
-A reduction is kept as raw rows, its rows and pivots interned, so an entry
-costs about 0.25 KB (its dict slot, its own tuples, and the key when no
-stream matrix holds it); there are at most q^(k^2) of k x k matrices.
+Inside a `dot_table(field)` block over a finite field F_q, every matrix
+built over that field is the block's one matrix of its value
+(`EntryTable.matrices`, where a sweep adopts its stream first), so a value
+keeps its hash, its columns and its ids for the whole block, and memo keys
+and projection-table lookups find it by identity.  A row of length k is
+numbered 0 .. q^k - 1 by its base-q digits, and a matrix keeps the numbers
+of its rows and of its columns (`EntryTable.ids`).  Products, comparisons of
+products and differences over the field read their entries from one plane
+per row length: two grids of q^k by q^k slots, the dot of rows r and c at
+dots[r][c] and the number of row r - row c at differences[r][c], each
+computed once, by the field's rule as it stands at its first read, and kept
+until the block exits.  A row of a product is one C-level pick of its
+columns' slots from the row of dots of its row.  Over F_q there are q^(2k)
+pairs of rows of length k, so a plane stays small beside a stream that walks
+that many elements; a sweep opens a table over such a stream.  A plane costs
+16 bytes per pair of rows, and a matrix numbered by the table about 0.25 KB
+for its numbers and picker and 40 bytes for its place in `matrices`.  The
+same table keeps the reduction of [A | I] of each matrix A over the field,
+by the raw values of A, for `rref` and `try_invert`: one Gauss-Jordan run
+per distinct matrix for the whole block, where the product memo keeps one
+per element.  A reduction is kept as raw rows, its rows and pivots
+interned, so an entry costs about 0.25 KB (its dict slot, its own tuples,
+and the key when no stream matrix holds it); there are at most q^(k^2) of
+k x k matrices.
 """
 
 from __future__ import annotations
@@ -46,7 +58,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import chain, product, starmap
-from operator import eq
+from operator import eq, getitem, itemgetter
 
 from .starfield import (FieldDescriptor, FieldMismatchError, Scalar, ScalarParseError,
                         parse_ring_header)
@@ -67,7 +79,7 @@ class Matrix:
     """An immutable grid of raw values over a single field: `values[i][j]`
     is entry (i, j) in the field's canonical form, and `rows[i][j]` as a Scalar."""
 
-    __slots__ = ("field", "values", "_hash", "_cols")
+    __slots__ = ("field", "values", "_hash", "_cols", "_ids")
 
     def __init__(self, field: FieldDescriptor, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -82,14 +94,22 @@ class Matrix:
             raise FieldMismatchError("entry from a different field")
         self.field = field
         self.values = tuple([tuple([e.value for e in r]) for r in rows])
-        self._hash = self._cols = None
+        self._hash = self._cols = self._ids = None
 
     @classmethod
     def _unchecked(cls, field: FieldDescriptor, values: tuple) -> "Matrix":
         # values that already pass __init__'s checks: a non-empty tuple of
-        # equal-length, non-empty tuples within the cap, of raw values of field
-        m = object.__new__(cls)
-        m.field, m.values, m._hash, m._cols = field, values, None, None
+        # equal-length, non-empty tuples within the cap, of raw values of
+        # field.  Inside an entry table for field, the table's one matrix of
+        # that value.
+        table = _TABLE.get()
+        matrices = table.matrices if table is not None and table.field is field else None
+        m = None if matrices is None else matrices.get(values)
+        if m is None:
+            m = object.__new__(cls)
+            m.field, m.values, m._hash, m._cols, m._ids = field, values, None, None, None
+            if matrices is not None:
+                matrices[values] = m
         return m
 
     @property
@@ -146,8 +166,8 @@ class Matrix:
         return self.nrows
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.field is other.field
-                and self.values == other.values)
+        return self is other or (isinstance(other, Matrix) and self.field is other.field
+                                 and self.values == other.values)
 
     def __hash__(self):
         # the raw values alone: __eq__ also asks for the same field.  Kept in
@@ -191,12 +211,15 @@ class Matrix:
         """The rows of raw values of self - other, which raises what `-`
         raises on operands of different fields or shapes; no Matrix and no
         memo entry is made.  An open entry table for the field supplies each
-        row difference."""
-        table = _table_for(self.field)
-        if table is None:
-            return self._entrywise(self.field.sub, other)
-        self._check(other)
-        return tuple(map(table.differences.__getitem__, zip(self.values, other.values)))
+        row difference by the numbers of the two rows."""
+        table = entry_table(self.field)
+        if table is not None:
+            self._check(other)
+            operands = table.operands(self, other)
+            if operands is not None:
+                plane, mine, theirs = operands
+                return tuple(map(plane.rows.__getitem__, plane.differences_of(mine[0], theirs[0])))
+        return self._entrywise(self.field.sub, other)
 
     def __neg__(self) -> "Matrix":
         return recall(("-", self), Matrix._negation, self)
@@ -209,24 +232,23 @@ class Matrix:
         return recall((self, other), Matrix._product, self, other)
 
     def _product(self, other: "Matrix") -> "Matrix":
-        cols, table = self._factor_columns(other), _table_for(self.field)
-        if table is None:
-            dot = self.field.dot
-            return Matrix._unchecked(self.field, tuple([tuple([dot(row, col) for col in cols])
-                                                        for row in self.values]))
-        dots = table.dots
-        return Matrix._unchecked(self.field, tuple([tuple([dots[row, col] for col in cols])
+        self._check_factors(other)
+        table = entry_table(self.field)
+        operands = None if table is None else table.operands(self, other)
+        if operands is not None:
+            plane, mine, theirs = operands
+            return Matrix._unchecked(self.field, plane.product_values(mine[0], *theirs[1:]))
+        dot, cols = self.field.dot, other.columns
+        return Matrix._unchecked(self.field, tuple([tuple([dot(row, col) for col in cols])
                                                     for row in self.values]))
 
-    def _factor_columns(self, other: "Matrix") -> tuple:
-        """The columns of other for the product self other, whose entry
-        (i, j) is field.dot(self.values[i], cols[j]).  Raises what the
-        product raises on operands of different fields or unmatched shapes."""
+    def _check_factors(self, other: "Matrix"):
+        """Raise what the product self other raises on operands of different
+        fields or unmatched shapes."""
         if self.field is not other.field:
             raise FieldMismatchError(f"{self.field.name} vs {other.field.name}")
         if len(self.values[0]) != len(other.values):
             raise ShapeError(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        return other.columns
 
     def __pow__(self, k: int) -> "Matrix":
         if k < 1:
@@ -253,7 +275,7 @@ class Matrix:
         Read from the one reduction of [A | I] that `try_invert` reads too:
         kept in the open entry table for the field, or else in the memo.
         """
-        table = _table_for(self.field)
+        table = entry_table(self.field)
         if table is None:
             return recall(("rref", self), Matrix._reduction, self)[0]
         reduced, pivots, _ = table.reductions[self.values]
@@ -295,7 +317,7 @@ class Matrix:
         """Two-sided inverse of a square matrix, or None when rank < n: the
         right half of the reduction of [A | I] that `rref` reads."""
         self.n  # square only
-        table = _table_for(self.field)
+        table = entry_table(self.field)
         if table is None:
             return recall(("rref", self), Matrix._reduction, self)[1]
         inverse = table.reductions[self.values][2]
@@ -346,13 +368,16 @@ def products_equal(lhs, rhs) -> bool:
     compared.
 
     A product the open memo holds is read from it, and two built sides are
-    compared as `==` compares them.  Otherwise the entries are compared in
-    row order and the first that differs decides; a product not built is
-    computed one entry at a time by the rule of `x * y`, up to that entry.
-    When such a pair comes out equal to a built side (a Matrix, or a product
-    the memo holds), the open memo keeps that side as the pair's product.
-    A pair raises what x * y raises on different fields or unmatched shapes;
-    sides of different fields or shapes are unequal, as for `==`.
+    compared as `==` compares them.  Under an open entry table for the
+    field, a pair's product is read whole from the table as raw rows, each
+    row one read of a row of dots, and compared as `==` compares.
+    Otherwise the entries are compared in row order and the first that
+    differs decides; a product not built is computed one entry at a time by
+    the rule of `x * y`, up to that entry.  When such a pair comes out equal
+    to a built side (a Matrix, or a product the memo holds), the open memo
+    keeps that side as the pair's product.  A pair raises what x * y raises
+    on different fields or unmatched shapes; sides of different fields or
+    shapes are unequal, as for `==`.
     """
     memo = _MEMO.get()
     if memo is None:
@@ -362,50 +387,61 @@ def products_equal(lhs, rhs) -> bool:
         left = lhs if isinstance(lhs, Matrix) else memo.get(lhs)
         right = rhs if isinstance(rhs, Matrix) else memo.get(rhs)
     if left is not None and right is not None:
-        return left.field is right.field and left.values == right.values
+        return left is right or (left.field is right.field and left.values == right.values)
     # a pair the memo does not hold is computed as it is read
-    if left is None:
-        x, y = lhs
-        field, rows, cols = x.field, x.values, x._factor_columns(y)
-    else:
-        field, rows, cols = left.field, left.values, None
-    if right is None:
-        x, y = rhs
-        other_field, other_rows, other_cols = x.field, x.values, x._factor_columns(y)
-    else:
-        other_field, other_rows, other_cols = right.field, right.values, None
-    # a side is as wide as its columns, or its first row when it is built
-    if (field is not other_field or len(rows) != len(other_rows)
-            or len(cols or rows[0]) != len(other_cols or other_rows[0])):
+    field, shape, rows = _side(lhs, left)
+    other_field, other_shape, other_rows = _side(rhs, right)
+    if field is not other_field or shape != other_shape:
         return False
-    equal = entries_agree(field, rows, cols, other_rows, other_cols)
+    if rows is None or other_rows is None:
+        equal = entries_agree(_entries(lhs, rows), _entries(rhs, other_rows))
+    else:
+        equal = rows == other_rows
     if equal and memo is not None and (left is None) != (right is None):
         memo[lhs if left is None else rhs] = left or right
     return equal
 
 
-def entries_agree(field, rows, cols, other_rows, other_cols) -> bool:
-    """Whether two grids of one shape over field have equal entries, read in
-    row order up to the first that differs.
+def _side(side, built):
+    """The field, the shape and the raw rows of one side of
+    `products_equal`: those of the Matrix built, or else of the product of
+    the pair side = (x, y) read from an open entry table, or None when
+    there is none for the field."""
+    if built is not None:
+        values = built.values
+        return built.field, (len(values), len(values[0])), values
+    x, y = side
+    x._check_factors(y)
+    shape = (len(x.values), len(y.values[0]))
+    table = entry_table(x.field)
+    operands = None if table is None else table.operands(x, y)
+    if operands is None:
+        return x.field, shape, None
+    plane, mine, theirs = operands
+    return x.field, shape, plane.product_values(mine[0], *theirs[1:])
 
-    A grid is given by rows of raw values and cols: with cols None it is the
-    rows themselves; otherwise it is the product of the rows by the columns
-    cols, whose entries are computed by field.dot one at a time as they are
-    read, or read from the open entry table for field, so the entries past
-    the first that differs are never computed.
-    """
-    table = _table_for(field)
-    if table is None:
-        dot = field.dot
-        entries = chain.from_iterable(rows) if cols is None else starmap(dot, product(rows, cols))
-        other = (chain.from_iterable(other_rows) if other_cols is None
-                 else starmap(dot, product(other_rows, other_cols)))
-    else:
-        # product yields the (row, col) pairs that key the table's dots
-        read = table.dots.__getitem__
-        entries = chain.from_iterable(rows) if cols is None else map(read, product(rows, cols))
-        other = (chain.from_iterable(other_rows) if other_cols is None
-                 else map(read, product(other_rows, other_cols)))
+
+def _entries(side, rows):
+    """The entries in row order of one side of `products_equal` whose raw
+    rows `_side` gave, or of the product of the pair side = (x, y), each
+    computed when it is reached."""
+    if rows is not None:
+        return chain.from_iterable(rows)
+    x, y = side
+    return product_entries(x.field, x.values, y.columns)
+
+
+def product_entries(field: FieldDescriptor, rows, cols):
+    """The entries of the product of rows by cols, rows and columns of raw
+    values over field, in row order, each computed by field.dot only when
+    it is reached."""
+    return starmap(field.dot, product(rows, cols))
+
+
+def entries_agree(entries, other) -> bool:
+    """Whether two grids of one shape and field, given by their entries in
+    row order, are equal: the entries are read in step up to the first pair
+    that differs, so the entries of a product past it are never computed."""
     # one field, so entries are equal exactly when their raw values are
     return all(map(eq, entries, other))
 
@@ -427,26 +463,94 @@ def product_memo():
         _MEMO.reset(token)
 
 
-class _Dots(dict):
-    """field.dot(row, col) by the pair (row, col), computed on first read."""
-
-    __slots__ = ("field",)
-
-    def __missing__(self, key):
-        # the rule is read at each miss, so a rule replaced later is the one run
-        value = self[key] = self.field.dot(*key)
-        return value
+#: the most pairs of rows of one length an entry table keeps, q^(2k) for rows
+#: of length k over F_q; a sweep opens a table only when its stream has at
+#: least q^(2n) elements, at most a million
+PLANE_LIMIT = 10**6
 
 
-class _Differences(dict):
-    """The raw row row_a - row_e by the pair (row_a, row_e), computed on
-    first read."""
+class _DotRow(list):
+    """The dots of one row with each row of its length, by number, None
+    until first read.  A class of its own, so that a read of a dot can be
+    told from any other list read, as the tests that count entries do."""
 
-    __slots__ = ("field",)
+    __slots__ = ()
 
-    def __missing__(self, key):
-        value = self[key] = tuple(map(self.field.sub, *key))
-        return value
+
+def picker(cols: tuple):
+    """A callable that reads the slots cols of a list, as a tuple: the
+    entries of a row with the columns numbered cols, from the row's dots."""
+    if len(cols) > 1:
+        return itemgetter(*cols)
+    col, = cols
+    return lambda slots: (slots[col],)
+
+
+class _Plane:
+    """The rows of length k over F_q, numbered 0 .. q^k - 1 by their base-q
+    digits (`numbers`, and `rows` the other way), and two grids over pairs
+    of them: dots[r][c], the dot of rows r and c, and differences[r][c], the
+    number of row r - row c.  A slot is None until its first read, which
+    computes it by the field's rule as it stands then."""
+
+    __slots__ = ("field", "rows", "numbers", "dots", "differences")
+
+    def __init__(self, field: FieldDescriptor, k: int):
+        self.field = field
+        self.rows = list(product(range(field.size()), repeat=k))
+        self.numbers = {row: r for r, row in enumerate(self.rows)}
+        size = len(self.rows)
+        self.dots = [_DotRow([None] * size) for _ in range(size)]
+        self.differences = [[None] * size for _ in range(size)]
+
+    def _filled(self, r: int, cols: tuple, values: tuple) -> tuple:
+        """values, the dots of row r with the columns cols as read, with
+        each missing one computed and kept."""
+        slots, row, rows, dot = self.dots[r], self.rows[r], self.rows, self.field.dot
+        out = []
+        for c, value in zip(cols, values):
+            # a column met twice is computed once
+            if value is None and (value := slots[c]) is None:
+                value = slots[c] = dot(row, rows[c])
+            out.append(value)
+        return tuple(out)
+
+    def product_values(self, rows: tuple, cols: tuple, pick) -> tuple:
+        """The raw rows of the product of the rows numbered rows by the
+        columns numbered cols, which pick reads."""
+        dots = self.dots
+        values = tuple([pick(dots[r]) for r in rows])
+        if None in chain.from_iterable(values):
+            values = tuple([self._filled(r, cols, row) if None in row else row
+                            for r, row in zip(rows, values)])
+        return values
+
+    def products_agree(self, rows, cols, pick, other_rows, other_cols, other_pick) -> bool:
+        """Whether the product of rows by cols equals that of other_rows by
+        other_cols, each given as in `product_values`: read a row of each at
+        a time, up to the first pair of rows that differs."""
+        dots = self.dots
+        for r, s in zip(rows, other_rows):
+            x, y = pick(dots[r]), other_pick(dots[s])
+            if None in x:
+                x = self._filled(r, cols, x)
+            if None in y:
+                y = self._filled(s, other_cols, y)
+            if x != y:
+                return False
+        return True
+
+    def differences_of(self, xs, ys) -> tuple:
+        """The numbers of x - y for the rows numbered x in xs and y in ys,
+        taken in step."""
+        out = tuple(map(getitem, map(self.differences.__getitem__, xs), ys))
+        if None in out:
+            grid, rows, numbers, sub = self.differences, self.rows, self.numbers, self.field.sub
+            out = tuple([numbers[tuple(map(sub, rows[x], rows[y]))] if d is None else d
+                         for x, y, d in zip(xs, ys, out)])
+            for x, y, d in zip(xs, ys, out):
+                grid[x][y] = d
+        return out
 
 
 class _Reductions(dict):
@@ -469,18 +573,80 @@ class _Reductions(dict):
         return value
 
 
-class EntryTable:
-    """The open table of one field: `dots` and `differences`, two dicts from
-    pairs of raw rows to their dot and to their difference, and
-    `reductions`, from the raw values of a matrix to its reduction."""
+class _Planes(dict):
+    """The plane of the rows of each length k over the field, made on first
+    read, or None past PLANE_LIMIT."""
 
-    __slots__ = ("field", "dots", "differences", "reductions")
+    __slots__ = ("field",)
+
+    def __missing__(self, k):
+        plane = self[k] = (_Plane(self.field, k) if self.field.size() ** (2 * k) <= PLANE_LIMIT
+                           else None)
+        return plane
+
+
+class EntryTable:
+    """The open table of one finite field F_q.
+
+    `planes[k]` holds the dots and differences of the rows of length k by
+    number, made on first use, if it has at most PLANE_LIMIT pairs of rows;
+    `reductions` maps the raw values of a matrix to its reduction; and
+    `matrices` maps raw values to the table's one matrix of that value,
+    which `Matrix._unchecked` returns, so each matrix keeps its hash, its
+    columns and the numbers of its rows and columns (`ids`) for the whole
+    block.
+    """
+
+    __slots__ = ("field", "planes", "reductions", "matrices")
 
     def __init__(self, field: FieldDescriptor):
-        self.field = field
-        self.dots, self.differences, self.reductions = _Dots(), _Differences(), _Reductions()
-        self.dots.field = self.differences.field = self.reductions.field = field
-        self.reductions.shared = {}
+        if field.size() is None:
+            raise ValueError(f"an entry table numbers rows over a finite field, not {field.name}")
+        self.field, self.planes = field, _Planes()
+        self.planes.field = field
+        self.reductions = _Reductions()
+        self.reductions.field, self.reductions.shared = field, {}
+        self.matrices = {}
+
+    def adopt(self, matrices):
+        """Make each of `matrices` over the field the table's matrix of its
+        value, the first of equal ones, unless the table has one already."""
+        intern = self.matrices.setdefault
+        for m in matrices:
+            if m.field is self.field:
+                intern(m.values, m)
+
+    def ids(self, m: Matrix) -> tuple | None:
+        """The numbers of m's rows and of its columns and a picker of its
+        columns from a row of dots, kept in m; None when m's rows or columns
+        have no plane."""
+        ids = m._ids
+        if ids is None:
+            values = m.values
+            rows, cols = self.planes[len(values[0])], self.planes[len(values)]
+            if rows is None or cols is None:
+                return None
+            col_numbers = tuple(map(cols.numbers.__getitem__, zip(*values)))
+            ids = m._ids = (tuple(map(rows.numbers.__getitem__, values)), col_numbers,
+                            picker(col_numbers))
+        return ids
+
+    def operands(self, x: Matrix, y: Matrix) -> tuple | None:
+        """The plane of the rows of x and the ids of x and of y, matrices
+        over the field whose shapes match; None when any of their rows or
+        columns have no plane."""
+        mine, theirs = x._ids or self.ids(x), y._ids or self.ids(y)
+        if mine is None or theirs is None:
+            return None
+        return self.planes[len(x.values[0])], mine, theirs
+
+    def square_operands(self, e: Matrix, a: Matrix) -> tuple | None:
+        """`operands(e, a)` for square matrices e and a over the field of one
+        size; None for any other pair."""
+        n = len(e.values)
+        if a.field is not e.field or not n == len(e.values[0]) == len(a.values) == len(a.values[0]):
+            return None
+        return self.operands(e, a)
 
 
 # The open entry table of this context, or None: one per context, so threads
@@ -488,7 +654,7 @@ class EntryTable:
 _TABLE: ContextVar[EntryTable | None] = ContextVar("starring_dot_table", default=None)
 
 
-def _table_for(field: FieldDescriptor) -> EntryTable | None:
+def entry_table(field: FieldDescriptor) -> EntryTable | None:
     """The open entry table, if it is one for field."""
     table = _TABLE.get()
     return table if table is not None and table.field is field else None
@@ -496,18 +662,20 @@ def _table_for(field: FieldDescriptor) -> EntryTable | None:
 
 @contextmanager
 def dot_table(field: FieldDescriptor):
-    """Read every product entry, row difference and row reduction over
-    `field` from one table until the block exits, computing each distinct
-    one once.
+    """Read every product entry, row difference and row reduction over the
+    finite field `field` from one table until the block exits, computing
+    each distinct one once, and make every matrix built over `field` in the
+    block the table's one matrix of its value.
 
-    Yields the EntryTable.  Its dots are keyed (row, col), its differences
-    (row_a, row_e) and its reductions by a matrix's rows, each by raw
+    Yields the EntryTable.  Its dots and differences are read by the
+    numbers of two rows or columns, and its reductions by a matrix's raw
     values, so an entry is shared by every product, difference and
     elimination that reads the same rows, whichever matrices hold them.
-    Matrices over other fields compute as without the table.  The table
-    only grows: it suits a block that reads few distinct rows many times,
-    as a sweep of a whole finite ring does.  Blocks nest, the inner one
-    starting empty; each thread has its own.
+    Matrices over other fields compute as without the table, and so do
+    rows longer than its planes reach.  The table only grows: it suits a
+    block that reads few distinct rows and matrices many times, as a sweep
+    of a whole finite ring does.  Blocks nest, the inner one starting empty;
+    each thread has its own.
     """
     table = EntryTable(field)
     token = _TABLE.set(table)

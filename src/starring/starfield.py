@@ -152,9 +152,6 @@ class FieldDescriptor:
         """Number of elements, or None for the infinite fields."""
         return None
 
-    def sub(self, x, y):  # Q and F_{p^2} have their own
-        return self.add(x, self.neg(y))
-
     # -- element construction ------------------------------------------------
 
     def zero(self) -> "Scalar":
@@ -290,6 +287,13 @@ class GaussianField(FieldDescriptor):
             return _reduced(p + r, q + s, m)
         return _reduced(p * n + r * m, q * n + s * m, m * n)
 
+    def sub(self, x, y):
+        p, q, m = x
+        r, s, n = y
+        if m == n:
+            return _reduced(p - r, q - s, m)
+        return _reduced(p * n - r * m, q * n - s * m, m * n)
+
     def neg(self, x):
         return (-x[0], -x[1], x[2])
 
@@ -385,6 +389,9 @@ class PrimeField(FieldDescriptor):
 
     def add(self, x, y):
         return (x + y) % self.p
+
+    def sub(self, x, y):
+        return (x - y) % self.p
 
     def neg(self, x):
         return -x % self.p

@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial, reduce
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Callable, NamedTuple
 
 # The conditions call the relation predicates, is_projection, products_equal
@@ -51,7 +51,8 @@ from .classify import (  # noqa: F401
 # benchmark's tracer test (bench/test_bench.py) checks that the tracer
 # rebinds a function this module imports by name, and it names this one.
 from .geninv import InverseBundle, derived_elements, mp_inverse  # noqa: F401
-from .matrix import Matrix, entries_agree, products_equal  # noqa: F401
+from .matrix import (Matrix, entries_agree, entry_table, picker, product_entries,  # noqa: F401
+                     products_equal)
 
 
 class Kind(Enum):
@@ -323,16 +324,32 @@ def check_left_right_duality(e: Matrix, a: Matrix) -> Verdict:
     """L3.1: a universal ring identity relating the two one-sided notions.
 
     Decided on raw values: e e = a e, and d d = d a with d = a - e, each read
-    entry by entry up to the first entry that differs.  e e is the product
-    e * e, so an open memo supplies it or keeps it for e's next partner; d
-    is built as rows, neither a Matrix nor a memo entry, and no other product
-    is built.  Operands of different fields or shapes raise what a - e
+    in row order up to the first entry that differs; each side is computed
+    by the field's rules, independently of the other, and no memo entry is
+    made for the pair.  Inside an entry table for the field, the four
+    products are read from the table a row at a time, and the rows and
+    columns of d from its differences, by the numbers of the rows and
+    columns of e and a, which the two matrices keep.  Otherwise e e is the
+    product e * e, so an open memo supplies it or keeps it for e's next
+    partner, d is built as rows, and the other products are computed entry
+    by entry.  Operands of different fields or shapes raise what a - e
     raises.
     """
-    d = a.difference_rows(e)
-    field = e.field
-    left = entries_agree(field, (e * e).values, None, a.values, e.columns)
-    right = entries_agree(field, d, tuple(zip(*d)), d, a.columns)
+    table = entry_table(e.field)
+    operands = None if table is None else table.square_operands(e, a)
+    if operands is None:
+        d = a.difference_rows(e)
+        field = e.field
+        left = entries_agree(chain.from_iterable((e * e).values),
+                             product_entries(field, a.values, e.columns))
+        right = entries_agree(product_entries(field, d, tuple(zip(*d))),
+                              product_entries(field, d, a.columns))
+    else:
+        plane, (e_rows, e_cols, e_pick), (a_rows, a_cols, a_pick) = operands
+        # d's rows and columns: those of a less those of e
+        d_rows, d_cols = plane.differences_of(a_rows, e_rows), plane.differences_of(a_cols, e_cols)
+        left = plane.products_agree(e_rows, e_cols, e_pick, a_rows, e_cols, e_pick)
+        right = plane.products_agree(d_rows, d_cols, picker(d_cols), d_rows, a_cols, a_pick)
     return Verdict.CONSISTENT if left == right else Verdict.COUNTEREXAMPLE
 
 

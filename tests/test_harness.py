@@ -692,30 +692,26 @@ def test_a_sweep_in_another_thread_shares_no_table(monkeypatch):
 
 
 def _count_entries(monkeypatch, fields, active=lambda: True) -> dict:
-    """Counts of product entries taken while active(): "read", each lookup
-    in an entry table's dots and each run of a field's dot outside one, and
-    "computed", each run of the dot of one of `fields`."""
+    """Counts of product entries taken while active(): "read", each read of
+    a slot of an entry table's dots and each run of a field's dot outside
+    such a table, and "computed", each run of the dot of one of `fields`."""
     counts = {"read": 0, "computed": 0}
-    looking = []
-    lookup = dict.__getitem__
+    lookup = list.__getitem__
 
     def counted_lookup(self, key):
         counts["read"] += active()
-        looking.append(True)
-        try:
-            return lookup(self, key)
-        finally:
-            looking.pop()
+        return lookup(self, key)
 
     def counted(dot):
         def wrapper(self, xs, ys):
             if active():
                 counts["computed"] += 1
-                counts["read"] += not looking
+                # inside a table, the slot read that found no dot counted it
+                counts["read"] += matrix_mod.entry_table(self) is None
             return dot(self, xs, ys)
         return wrapper
 
-    monkeypatch.setattr(matrix_mod._Dots, "__getitem__", counted_lookup)
+    monkeypatch.setattr(matrix_mod._DotRow, "__getitem__", counted_lookup)
     for field in fields:
         monkeypatch.setattr(type(field), "dot", counted(type(field).dot))
     return counts
@@ -749,8 +745,11 @@ def test_entry_products_shared_through_the_memo(monkeypatch):
     # inside evaluate took 140 more, in the formulas for a^# and a^+; 10,960
     # while every projection test inside evaluate ran in full: the sweep's
     # projection table now answers each "in PE" claim on a ring element,
-    # so the 3,696 dots of those repeated tests are gone
-    assert counts["read"] == 7264
+    # so the 3,696 dots of those repeated tests are gone; 7,264 while a
+    # product that is only compared was read from the table one entry at a
+    # time up to the first that differs: it is now read whole, each row one
+    # pick from the table's row of dots
+    assert counts["read"] == 10848
     # the sweep's entry table computes each distinct (row, col) dot once, and
     # the projection table, bundles and derived elements have computed all
     # of them before an entry reads one; 7,264, one per entry read, before
@@ -806,7 +805,13 @@ def test_dot_runs_per_sweep(monkeypatch):
     # (82,298).  L2.8 takes its sandwiches around a a^+ and a^+ a, which the
     # element's memo keeps: each (a, x) builds P x, Q x and (Q x) P and
     # compares (P x) Q without building it, where it built five products
-    assert counts["read"] == 77710
+    # (77,710).  Each read was one entry, up to the first that differs, of
+    # a product that is only compared; the table is now read a row at a
+    # time, each row one pick from the table's row of dots: a compared
+    # product is read whole, and L3.1 reads its four products up to the
+    # first row that differs, e e among them, which it took from e's memo.
+    # 89,728 of these reads are L3.1's, for its 10,000 pairs
+    assert counts["read"] == 138085
     # the entry table computes each of the 16 x 16 pairs of a row and a
     # column of F_4^2, and 16 of rows and columns of length 1, once; each
     # read was a dot of its own (82,298) before the table
@@ -889,10 +894,150 @@ def test_entry_table_size_bound(spec, dots, monkeypatch):
     # full-rank factors included
     seen = _tables_seen(monkeypatch)
     sweep(spec, "all")
-    table, q, n = seen[0], spec.field.size(), spec.dim
-    assert len(table.dots) == dots == sum(q ** (2 * r) for r in range(1, n + 1))
-    assert len(table.differences) <= q ** (2 * n)
-    assert 3 * max(len(table.dots), len(table.differences)) <= 4 * q ** (2 * n)
+    filled = {kind: sum(len(row) - row.count(None)
+                        for plane in seen[0].planes.values() if plane is not None
+                        for row in getattr(plane, kind))
+              for kind in ("dots", "differences")}  # the slots read, over every plane
+    q, n = spec.field.size(), spec.dim
+    assert filled["dots"] == dots == sum(q ** (2 * r) for r in range(1, n + 1))
+    assert filled["differences"] <= q ** (2 * n)
+    assert 3 * max(filled["dots"], filled["differences"]) <= 4 * q ** (2 * n)
+
+
+def _stream_seen(monkeypatch) -> list:
+    """A list that the next sweep's stream fills, its own matrix objects."""
+    seen, draw = [], harness_mod.generate
+
+    def generate(spec):
+        for m in draw(spec):
+            seen.append(m)
+            yield m
+
+    monkeypatch.setattr(harness_mod, "generate", generate)
+    return seen
+
+
+def _results_seen(monkeypatch, operations) -> dict:
+    """Per operation, a list that grows by each result it returns."""
+    results = {name: [] for name in operations}
+    for name in operations:
+        def recorded(*args, _name=name, _operation=getattr(Matrix, name)):
+            result = _operation(*args)
+            results[_name].append(result)
+            return result
+        monkeypatch.setattr(Matrix, name, recorded)
+    return results
+
+
+@pytest.mark.parametrize("spec", [GeneratorSpec(Mode.EXHAUSTIVE, F3, 2),
+                                  GeneratorSpec(Mode.EXHAUSTIVE, F4, 2),
+                                  GeneratorSpec(Mode.EXHAUSTIVE, F2, 3)],
+                         ids=["m2-f3", "m2-f4", "m3-f2"])
+def test_square_results_are_the_stream_objects(spec, monkeypatch):
+    # inside a tabled sweep, every n x n matrix an operation returns is the
+    # stream's own object of that value, fresh or from a memo alike
+    stream = _stream_seen(monkeypatch)
+    results = _results_seen(monkeypatch, ["__mul__", "star", "__sub__", "__neg__",
+                                          "try_invert", "_product", "_adjoint"])
+    sweep(spec, "all")
+    by_value = {m.values: m for m in stream}
+    assert len(by_value) == len(stream) == spec.field.size() ** (spec.dim ** 2)
+    n = spec.dim
+    for name, returned in results.items():
+        square = [m for m in returned if m is not None and m.nrows == m.ncols == n]
+        assert square, name
+        assert all(m is by_value[m.values] for m in square), name
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(Mode.RANDOM, GAUSSIAN, 2, sample_count=20, seed=1),
+    GeneratorSpec(Mode.EXHAUSTIVE, F4, 1),
+    GeneratorSpec(Mode.RANDOM, F5, 2, sample_count=624, seed=1),
+], ids=["qi", "n1-f4", "f5-624"])
+def test_nothing_interned_without_a_table(spec, monkeypatch):
+    # every product computed is a new object, though values repeat across
+    # the elements' memos, and none is a stream object
+    stream = _stream_seen(monkeypatch)
+    computed = _results_seen(monkeypatch, ["_product"])["_product"]
+    sweep(spec, "all")
+    assert len({(m.field, m.values) for m in computed}) < len(computed)
+    assert len(set(map(id, computed))) == len(computed)
+    assert set(map(id, stream)).isdisjoint(map(id, computed))
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+def test_intern_map_dropped_when_the_sweep_ends(fail, monkeypatch):
+    spec = GeneratorSpec(Mode.EXHAUSTIVE, F2, 2)
+    x, y = Matrix.from_ints(F2, [[1, 1], [0, 1]]), Matrix.from_ints(F2, [[1, 0], [1, 1]])
+    seen = []
+
+    def evaluate(entry, bundle):
+        # the product is taken afresh, past the memo, and is one object
+        seen.append(Matrix._product(x, y) is Matrix._product(x, y))
+        if fail:
+            raise RuntimeError("entry failed")
+        return theorems_mod.evaluate(entry, bundle)
+
+    monkeypatch.setattr(harness_mod, "evaluate", evaluate)
+    if fail:
+        with pytest.raises(RuntimeError, match="entry failed"):
+            sweep(spec, "all")
+    else:
+        sweep(spec, "all")
+    assert seen and all(seen)
+    assert matrix_mod._TABLE.get() is None
+    assert Matrix._product(x, y) is not Matrix._product(x, y)
+
+
+def test_a_sweep_in_another_thread_interns_for_itself(monkeypatch):
+    spec = GeneratorSpec(Mode.EXHAUSTIVE, F3, 2)
+    x, y = Matrix.from_ints(F3, [[1, 2], [0, 1]]), Matrix.from_ints(F3, [[2, 0], [1, 1]])
+    in_sweep, checked = threading.Event(), threading.Event()
+    evaluate_entry = harness_mod.evaluate
+    tables = []
+
+    def evaluate(entry, bundle):
+        if not in_sweep.is_set():  # hold the sweep, its table open, once
+            tables.append(matrix_mod._TABLE.get())
+            assert Matrix._product(x, y) is Matrix._product(x, y)
+            in_sweep.set()
+            checked.wait(timeout=60)
+        return evaluate_entry(entry, bundle)
+
+    monkeypatch.setattr(harness_mod, "evaluate", evaluate)
+    thread = threading.Thread(target=lambda: sweep(spec, "all"))
+    thread.start()
+    try:
+        assert in_sweep.wait(timeout=60)
+        interned = len(tables[0].matrices)
+        assert matrix_mod._TABLE.get() is None
+        assert Matrix._product(x, y) is not Matrix._product(x, y)
+        assert len(tables[0].matrices) == interned  # this thread added nothing
+    finally:
+        checked.set()
+        thread.join(timeout=120)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("spec", [GeneratorSpec(Mode.EXHAUSTIVE, F2, 2),
+                                  GeneratorSpec(Mode.EXHAUSTIVE, F3, 2),
+                                  GeneratorSpec(Mode.EXHAUSTIVE, F4, 2),
+                                  GeneratorSpec(Mode.EXHAUSTIVE, F2, 3)],
+                         ids=["m2-f2", "m2-f3", "m2-f4", "m3-f2"])
+def test_tabled_and_untabled_reports_are_the_same_bytes(spec, monkeypatch):
+    seen = _tables_seen(monkeypatch)
+    tabled = sweep(spec, "all")
+    assert seen and seen[0] is not None
+    monkeypatch.setattr(harness_mod, "dot_table", lambda field: contextlib.nullcontext())
+    seen.clear()
+    plain = sweep(spec, "all")
+    assert set(seen) == {None}
+
+    def without_wall_time(report):
+        return [ln for ln in report.to_json().splitlines() if '"wallTime"' not in ln]
+
+    assert without_wall_time(tabled) == without_wall_time(plain)
+    assert tabled.digest() == plain.digest()
 
 
 def _fresh_reduction(field, values):

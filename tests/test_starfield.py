@@ -134,6 +134,37 @@ def test_gaussian_rules_match_fraction_formulas(x, y):
         assert GAUSSIAN.parse(s.token()) == s
 
 
+def test_gaussian_sub_matches_the_pair_formula():
+    # Q(i)'s own rule on seeded random canonical triples, equal and unequal
+    # denominators alike: (a + b*i) - (c + d*i) = (a - c) + (b - d)*i,
+    # reduced, and the same triple as adding the negation
+    rng = random.Random(25)
+    for _ in range(2000):
+        den = rng.randint(1, 40)
+        dens = (den, den) if rng.random() < 0.3 else (rng.randint(1, 40), rng.randint(1, 40))
+        u, v = (GAUSSIAN.gaussian(rng.randint(-99, 99), rng.randint(-99, 99), m, rng.randint(1, 40))
+                for m in dens)
+        (a, b), (c, d) = _parts(u), _parts(v)
+        diff = Scalar(GAUSSIAN, GAUSSIAN.sub(u.value, v.value))
+        assert _parts(diff) == (a - c, b - d)
+        assert diff.value == GAUSSIAN.add(u.value, GAUSSIAN.neg(v.value))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_sub_matches_the_pair_formula(p):
+    field = prime_field(p)
+    for x, y in itertools.product(range(p), repeat=2):
+        assert field.sub(x, y) == (x - y) % p == field.add(x, field.neg(y))
+
+
+def test_every_field_owns_its_rules():
+    # no rule is inherited from a fallback in FieldDescriptor
+    assert not hasattr(FieldDescriptor, "sub")
+    for field in (RATIONAL, GAUSSIAN, F3, F4):
+        for rule in ("add", "sub", "neg", "mul", "dot", "inv", "star", "is_zero", "token"):
+            assert rule in vars(type(field)), (field.name, rule)
+
+
 class _PairRules:
     """The rules of F_p[w]/(w^2 + b0*w + c0) on pairs (a, b) meaning a + b*w,
     as F_{p^2} computed on them before its raw values became indices: the
