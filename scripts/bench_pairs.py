@@ -19,12 +19,14 @@ the output records).
 * `--trace` runs one traced seed-1 unit of every BENCHMARK.json workload
   on each side and records its per-layer metrics.
 * `--battery` runs scripts/run_verification.py on each side and records
-  every report digest, its wall time and the total.  It also runs one
-  `starring verify --exhaustive --format json` on each side for each whole
-  ring in WHOLE_RINGS, which the battery does not sweep, and records the
-  report's `wallTime`, the sha256 of the report without its `wallTime`
-  line, the process's peak RSS and whether both sides' digests are equal,
-  under "whole_rings".
+  every report digest, its wall time and the total.  It also runs
+  `starring verify --exhaustive --format json` for each whole ring in
+  WHOLE_RINGS, which the battery does not sweep, RING_RUNS times per side,
+  alternating the sides and the side that goes first, and records under
+  "whole_rings" each run's `wallTime`, the sha256 of its report without
+  the `wallTime` line and its process's peak RSS, each side's median
+  `wallTime` and peak RSS, and whether every run of both sides has one
+  digest.
 
 The output JSON is read first if it exists, so several invocations build up
 one file.  For every workload and end-to-end metric the summary gives each
@@ -57,6 +59,9 @@ BATTERY_TOTAL = re.compile(r"^total wall time ([\d.]+)s; (.*)$")
 #: the whole rings timed with the battery: name -> (--ring, --dim)
 WHOLE_RINGS = {"M_3(F_2)": ("f2", 3), "M_2(F_5)": ("f5", 2), "M_2(F_7)": ("f7", 2),
                "M_2(F_9)": ("f32", 2), "M_2(F_11)": ("f11", 2)}
+#: runs of each whole ring per side: one run cannot resolve a 10-20% change
+#: on a host whose speed drifts between runs
+RING_RUNS = 3
 
 
 def quartiles(values) -> dict:
@@ -190,6 +195,36 @@ def run_whole_ring(tree: pathlib.Path, ring: str, dim: int) -> dict:
             "peak_rss_mb": round(usage.ru_maxrss / 1024, 2)}
 
 
+def ring_summary(runs) -> dict:
+    """One side's runs of one whole ring, as `run_whole_ring` returns them:
+    the median `wallTime` and peak RSS, the highest exit status, the digest
+    when every run has the same one (else None), and the runs themselves."""
+    digests = {run["sha256"] for run in runs}
+    return {"exit": max(run["exit"] for run in runs),
+            "sha256": digests.pop() if len(digests) == 1 else None,
+            "wallTime_s": statistics.median(run["wallTime_s"] for run in runs),
+            "peak_rss_mb": statistics.median(run["peak_rss_mb"] for run in runs),
+            "runs": list(runs)}
+
+
+def run_whole_rings(trees: dict) -> dict:
+    """Each of WHOLE_RINGS RING_RUNS times per side, the sides alternating
+    and the parent going first in even-numbered rounds: per side ("before"
+    the parent, "after" the change) and ring, its `ring_summary`, and
+    whether every run of both sides has one digest."""
+    runs = {side: {name: [] for name in WHOLE_RINGS} for side in ("parent", "change")}
+    for name, (ring, dim) in WHOLE_RINGS.items():
+        for k in range(RING_RUNS):
+            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                runs[side][name].append(run_whole_ring(trees[side], ring, dim))
+    rings = {key: {name: ring_summary(runs[side][name]) for name in WHOLE_RINGS}
+             for key, side in (("before", "parent"), ("after", "change"))}
+    digests = {name: {run["sha256"] for side in runs for run in runs[side][name]}
+               for name in WHOLE_RINGS}
+    rings["digests_equal"] = all(len(d) == 1 for d in digests.values())
+    return rings
+
+
 def extract(rev: str, dest: pathlib.Path) -> str:
     """Write the files of commit `rev` into `dest`; return its full hash."""
     full = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
@@ -264,13 +299,7 @@ def main() -> int:
                 {k: v["sha256"] for k, v in battery["before"]["reports"].items()}
                 == {k: v["sha256"] for k, v in battery["after"]["reports"].items()})
             doc["battery"] = battery
-            rings = {key: {name: run_whole_ring(trees[side], ring, dim)
-                           for name, (ring, dim) in WHOLE_RINGS.items()}
-                     for key, side in (("before", "parent"), ("after", "change"))}
-            rings["digests_equal"] = (
-                {k: v["sha256"] for k, v in rings["before"].items()}
-                == {k: v["sha256"] for k, v in rings["after"].items()})
-            doc["whole_rings"] = rings
+            doc["whole_rings"] = run_whole_rings(trees)
             save()
     save()
     return 0

@@ -88,12 +88,12 @@ class InverseBundle:
     `cached` keeps, per bundle, the shared values that registry entries
     build from more than a product, difference, negation or adjoint: the
     derived elements, which take MP and group inverses, and the verdict of
-    each target class (`theorems.target_holds`).  Everything else they share
-    is left to the product memo that `sweep` opens per element before it
-    computes the bundle.
+    each target class (`theorems.target_holds`), in the dict `kept`, by key.
+    Everything else they share is left to the product memo that `sweep`
+    opens per element before it computes the bundle.
     """
 
-    __slots__ = ("a", "star", "mp", "group", "has_mp", "has_group", "_memo")
+    __slots__ = ("a", "star", "mp", "group", "has_mp", "has_group", "kept")
 
     def __init__(self, a: Matrix, star: Matrix, mp: Matrix | None, group: Matrix | None):
         self.a = a
@@ -102,7 +102,7 @@ class InverseBundle:
         self.group = group
         self.has_mp = mp is not None
         self.has_group = group is not None
-        self._memo = {}
+        self.kept = {}
 
     @classmethod
     def compute(cls, a: Matrix) -> "InverseBundle":
@@ -117,9 +117,9 @@ class InverseBundle:
 
     def cached(self, key, factory):
         try:
-            return self._memo[key]
+            return self.kept[key]
         except KeyError:
-            value = self._memo[key] = factory()
+            value = self.kept[key] = factory()
             return value
 
     def __repr__(self):

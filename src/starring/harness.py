@@ -36,8 +36,7 @@ from .theorems import (
 REPORT_SCHEMA = "starring-report/1"
 
 #: ceiling on fieldSize^(n^2) for exhaustive enumeration, on the sample count
-#: of the other streams, and on the field size whose elements a constructed
-#: stream walks for its scalar pools
+#: of the other streams, and on the field size a constructed stream accepts
 EXHAUSTIVE_BUDGET = 10**6
 
 #: ceiling on ordered (e, a) pairs fed to the L3.1 duality check
@@ -92,10 +91,11 @@ class GeneratorSpec:
             raise BudgetExceededError(
                 f"sample count {self.sample_count} exceeds the budget {EXHAUSTIVE_BUDGET}")
         if self.mode is not Mode.RANDOM and size is not None and size > EXHAUSTIVE_BUDGET:
-            # the scalar pools of a constructed stream are a walk of the field
+            # kept from when the scalar pools were a walk of the field; they
+            # are now made without one, so this bound could be lifted
             raise BudgetExceededError(
-                f"{self.mode.value} mode walks all {size} elements of {self.field.name}, "
-                f"beyond the budget {EXHAUSTIVE_BUDGET}")
+                f"{self.mode.value} mode takes fields within the budget of "
+                f"{EXHAUSTIVE_BUDGET} elements, and {self.field.name} has {size}")
         if self.mode is Mode.CONSTRUCTED_EP and not self.field.has_non_unitary_scalar():
             raise InvalidSpecError(
                 f"{self.field.name} has no invertible scalar of norm != 1; "
@@ -201,8 +201,8 @@ def generate(spec: GeneratorSpec):
             yield Matrix(field, [[field.random_scalar(rng) for _ in range(n)]
                                  for _ in range(n)])
         return
-    # Each scalar pool is built once per stream: over a finite field it is a
-    # walk of the whole field.
+    # Each scalar pool is built once per stream: over a finite field the
+    # norm-1 group, generated, and the other units, served by index.
     units = field.unitary_scalars()
     non_unitary = field.non_unitary_scalars() if spec.mode is Mode.CONSTRUCTED_EP else []
     for _ in range(spec.sample_count):
@@ -331,8 +331,8 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
     the memo, where the entries took it or it is taken once for all of e's
     partners, builds its difference as raw rows and reads its other
     products entry by entry; under one, it reads all four products and the
-    difference from the table by row and column numbers.
-    A memo holds its results only until its element is done, and it is per
+    difference from the table, in its own frame, by the row and column
+    numbers that e and a keep.  A memo holds its results only until its element is done, and it is per
     thread.
 
     Before the loop, `projection_verdicts(stream)` tests each distinct
@@ -352,7 +352,9 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
     value outside the stream), so its hash and the numbers of its rows and
     columns are computed once for the whole sweep, and every product entry,
     row difference and row reduction is read from the table, each distinct
-    one computed once.  Its planes have a slot for each of at most the sum
+    one computed once: a product, and each side of a compared product, one
+    pick per row of its left factor, in the frame that asks for it, by the
+    numbers its factors keep.  Its planes have a slot for each of at most the sum
     of q^(2r) over r <= n pairs of rows, below 4/3 q^(2n) <= 4/3
     len(stream), for a dot and for a difference, 8 bytes each, so about
     15 MB at the M_2(F_31) ceiling.  Each matrix it numbers, about one per

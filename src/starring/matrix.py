@@ -15,7 +15,8 @@ Inside a `product_memo()` block, products, differences, negations, adjoints
 and row reductions are remembered by the value of their operands, so asking
 again for one, on the same or on equal matrices, returns the stored result;
 the results are the same values as without the memo.  A sweep opens one such
-block per element.
+block per element.  `*`, `-`, negation and `star` ask the memo in their own
+frame; `recall` serves row reductions and projection verdicts.
 
 A product that is only compared is not built: `products_equal` decides an
 equality of products entry by entry and stops at the first entry that
@@ -32,15 +33,18 @@ built over that field is the block's one matrix of its value
 keeps its hash, its columns and its ids for the whole block, and memo keys
 and projection-table lookups find it by identity.  A row of length k is
 numbered 0 .. q^k - 1 by its base-q digits, and a matrix keeps the numbers
-of its rows and of its columns (`EntryTable.ids`).  Products, comparisons of
-products and differences over the field read their entries from one plane
-per row length: two grids of q^k by q^k slots, the dot of rows r and c at
+of its rows and of its columns in `_ids`, given on its first use in the
+block (`EntryTable.ids`).  Products, comparisons of products and
+differences over the field read their entries from one plane per row
+length: two grids of q^k by q^k slots, the dot of rows r and c at
 dots[r][c] and the number of row r - row c at differences[r][c], each
 computed once, by the field's rule as it stands at its first read, and kept
 until the block exits.  A row of a product is one C-level pick of its
-columns' slots from the row of dots of its row.  Over F_q there are q^(2k)
-pairs of rows of length k, so a plane stays small beside a stream that walks
-that many elements; a sweep opens a table over such a stream.  A plane costs
+columns' slots from the row of dots of its row.  `_product`,
+`products_equal` and the L3.1 check read those picks in their own frame,
+from the numbers their operands keep.  Over F_q there are q^(2k) pairs of
+rows of length k, so a plane stays small beside a stream that walks that
+many elements; a sweep opens a table over such a stream.  A plane costs
 16 bytes per pair of rows, and a matrix numbered by the table about 0.25 KB
 for its numbers and picker and 40 bytes for its place in `matrices`.  The
 same table keeps the reduction of [A | I] of each matrix A over the field,
@@ -201,8 +205,16 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         return Matrix._unchecked(self.field, self._entrywise(self.field.add, other))
 
+    # The four operations the memo keeps by their operands look it up in
+    # their own frame, as `recall` does for the rest.
+
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return recall(("-", self, other), Matrix._difference, self, other)
+        memo = _MEMO.get()
+        if memo is None:
+            return self._difference(other)
+        if (result := memo.get(key := ("-", self, other))) is None:
+            result = memo[key] = self._difference(other)
+        return result
 
     def _difference(self, other: "Matrix") -> "Matrix":
         return Matrix._unchecked(self.field, self.difference_rows(other))
@@ -215,32 +227,50 @@ class Matrix:
         table = entry_table(self.field)
         if table is not None:
             self._check(other)
-            operands = table.operands(self, other)
-            if operands is not None:
-                plane, mine, theirs = operands
+            mine, theirs = self._ids or table.ids(self), other._ids or table.ids(other)
+            if mine is not None and theirs is not None:
+                plane = table.planes[len(self.values[0])]
                 return tuple(map(plane.rows.__getitem__, plane.differences_of(mine[0], theirs[0])))
         return self._entrywise(self.field.sub, other)
 
     def __neg__(self) -> "Matrix":
-        return recall(("-", self), Matrix._negation, self)
+        memo = _MEMO.get()
+        if memo is None:
+            return self._negation()
+        if (result := memo.get(key := ("-", self))) is None:
+            result = memo[key] = self._negation()
+        return result
 
     def _negation(self) -> "Matrix":
         neg = self.field.neg
         return Matrix._unchecked(self.field, tuple([tuple(map(neg, r)) for r in self.values]))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        return recall((self, other), Matrix._product, self, other)
+        memo = _MEMO.get()
+        if memo is None:
+            return self._product(other)
+        if (result := memo.get(key := (self, other))) is None:
+            result = memo[key] = self._product(other)
+        return result
 
     def _product(self, other: "Matrix") -> "Matrix":
-        self._check_factors(other)
-        table = entry_table(self.field)
-        operands = None if table is None else table.operands(self, other)
-        if operands is not None:
-            plane, mine, theirs = operands
-            return Matrix._unchecked(self.field, plane.product_values(mine[0], *theirs[1:]))
-        dot, cols = self.field.dot, other.columns
-        return Matrix._unchecked(self.field, tuple([tuple([dot(row, col) for col in cols])
-                                                    for row in self.values]))
+        field = self.field
+        if field is not other.field or len(self.values[0]) != len(other.values):
+            self._check_factors(other)
+        table = _TABLE.get()
+        if table is not None and table.field is field:
+            # each row one pick of the right factor's columns from the row's dots
+            mine, theirs = self._ids or table.ids(self), other._ids or table.ids(other)
+            if mine is not None and theirs is not None:
+                plane, rows, (_, cols, pick) = table.planes[len(other.values)], mine[0], theirs
+                dots = plane.dots
+                values = tuple([pick(dots[r]) for r in rows])
+                if None in chain.from_iterable(values):
+                    values = plane.fill(rows, cols, values)
+                return table.matrices.get(values) or Matrix._unchecked(field, values)
+        dot, cols = field.dot, other.columns
+        return Matrix._unchecked(field, tuple([tuple([dot(row, col) for col in cols])
+                                               for row in self.values]))
 
     def _check_factors(self, other: "Matrix"):
         """Raise what the product self other raises on operands of different
@@ -260,7 +290,12 @@ class Matrix:
 
     def star(self) -> "Matrix":
         """Conjugate transpose, the ring involution."""
-        return recall(self, Matrix._adjoint, self)
+        memo = _MEMO.get()
+        if memo is None:
+            return self._adjoint()
+        if (result := memo.get(self)) is None:
+            result = memo[self] = self._adjoint()
+        return result
 
     def _adjoint(self) -> "Matrix":
         rows = self.rows
@@ -369,15 +404,16 @@ def products_equal(lhs, rhs) -> bool:
 
     A product the open memo holds is read from it, and two built sides are
     compared as `==` compares them.  Under an open entry table for the
-    field, a pair's product is read whole from the table as raw rows, each
-    row one read of a row of dots, and compared as `==` compares.
-    Otherwise the entries are compared in row order and the first that
-    differs decides; a product not built is computed one entry at a time by
-    the rule of `x * y`, up to that entry.  When such a pair comes out equal
-    to a built side (a Matrix, or a product the memo holds), the open memo
-    keeps that side as the pair's product.  A pair raises what x * y raises
-    on different fields or unmatched shapes; sides of different fields or
-    shapes are unequal, as for `==`.
+    field, a pair's product is read whole as raw rows, each row one pick
+    from the table's row of dots by the numbers its factors keep, and
+    compared as `==` compares.  Otherwise the entries are compared in row
+    order and the first that differs decides; a product not built is
+    computed one entry at a time by the rule of `x * y`, up to that entry.
+    When such a pair comes out equal to a built side (a Matrix, or a
+    product the memo holds), the open memo keeps that side as the pair's
+    product.  A pair raises what x * y raises on different fields or
+    unmatched shapes; sides of different fields or shapes are unequal, as
+    for `==`.
     """
     memo = _MEMO.get()
     if memo is None:
@@ -388,10 +424,28 @@ def products_equal(lhs, rhs) -> bool:
         right = rhs if isinstance(rhs, Matrix) else memo.get(rhs)
     if left is not None and right is not None:
         return left is right or (left.field is right.field and left.values == right.values)
-    # a pair the memo does not hold is computed as it is read
-    field, shape, rows = _side(lhs, left)
-    other_field, other_shape, other_rows = _side(rhs, right)
-    if field is not other_field or shape != other_shape:
+    # each side's field, shape and raw rows, None for a pair computed as it is read
+    table, sides = _TABLE.get(), []
+    for side, built in ((lhs, left), (rhs, right)):
+        if built is not None:
+            values = built.values
+            sides.append((built.field, len(values), len(values[0]), values))
+            continue
+        x, y = side
+        field, rows = x.field, None
+        if field is not y.field or len(x.values[0]) != len(y.values):
+            x._check_factors(y)
+        if table is not None and table.field is field:
+            mine, theirs = x._ids or table.ids(x), y._ids or table.ids(y)
+            if mine is not None and theirs is not None:
+                plane, (_, cols, pick) = table.planes[len(y.values)], theirs
+                dots = plane.dots
+                rows = tuple([pick(dots[r]) for r in mine[0]])
+                if None in chain.from_iterable(rows):
+                    rows = plane.fill(mine[0], cols, rows)
+        sides.append((field, len(x.values), len(y.values[0]), rows))
+    (field, m, n, rows), (other_field, other_m, other_n, other_rows) = sides
+    if field is not other_field or m != other_m or n != other_n:
         return False
     if rows is None or other_rows is None:
         equal = entries_agree(_entries(lhs, rows), _entries(rhs, other_rows))
@@ -402,29 +456,10 @@ def products_equal(lhs, rhs) -> bool:
     return equal
 
 
-def _side(side, built):
-    """The field, the shape and the raw rows of one side of
-    `products_equal`: those of the Matrix built, or else of the product of
-    the pair side = (x, y) read from an open entry table, or None when
-    there is none for the field."""
-    if built is not None:
-        values = built.values
-        return built.field, (len(values), len(values[0])), values
-    x, y = side
-    x._check_factors(y)
-    shape = (len(x.values), len(y.values[0]))
-    table = entry_table(x.field)
-    operands = None if table is None else table.operands(x, y)
-    if operands is None:
-        return x.field, shape, None
-    plane, mine, theirs = operands
-    return x.field, shape, plane.product_values(mine[0], *theirs[1:])
-
-
 def _entries(side, rows):
-    """The entries in row order of one side of `products_equal` whose raw
-    rows `_side` gave, or of the product of the pair side = (x, y), each
-    computed when it is reached."""
+    """The entries in row order of one side of `products_equal` given its
+    raw rows, or of the product of the pair side = (x, y) when rows is None,
+    each computed when it is reached."""
     if rows is not None:
         return chain.from_iterable(rows)
     x, y = side
@@ -515,20 +550,18 @@ class _Plane:
             out.append(value)
         return tuple(out)
 
-    def product_values(self, rows: tuple, cols: tuple, pick) -> tuple:
-        """The raw rows of the product of the rows numbered rows by the
-        columns numbered cols, which pick reads."""
-        dots = self.dots
-        values = tuple([pick(dots[r]) for r in rows])
-        if None in chain.from_iterable(values):
-            values = tuple([self._filled(r, cols, row) if None in row else row
-                            for r, row in zip(rows, values)])
-        return values
+    def fill(self, rows: tuple, cols: tuple, values: tuple) -> tuple:
+        """values, the raw rows of the product of the rows numbered rows by
+        the columns numbered cols as picked from the dots, with each missing
+        dot computed and kept."""
+        return tuple([self._filled(r, cols, row) if None in row else row
+                      for r, row in zip(rows, values)])
 
     def products_agree(self, rows, cols, pick, other_rows, other_cols, other_pick) -> bool:
-        """Whether the product of rows by cols equals that of other_rows by
-        other_cols, each given as in `product_values`: read a row of each at
-        a time, up to the first pair of rows that differs."""
+        """Whether the product of the rows numbered rows by the columns
+        numbered cols, which pick reads, equals that of other_rows by
+        other_cols: read a row of each at a time, up to the first pair of
+        rows that differs."""
         dots = self.dots
         for r, s in zip(rows, other_rows):
             x, y = pick(dots[r]), other_pick(dots[s])
@@ -630,23 +663,6 @@ class EntryTable:
             ids = m._ids = (tuple(map(rows.numbers.__getitem__, values)), col_numbers,
                             picker(col_numbers))
         return ids
-
-    def operands(self, x: Matrix, y: Matrix) -> tuple | None:
-        """The plane of the rows of x and the ids of x and of y, matrices
-        over the field whose shapes match; None when any of their rows or
-        columns have no plane."""
-        mine, theirs = x._ids or self.ids(x), y._ids or self.ids(y)
-        if mine is None or theirs is None:
-            return None
-        return self.planes[len(x.values[0])], mine, theirs
-
-    def square_operands(self, e: Matrix, a: Matrix) -> tuple | None:
-        """`operands(e, a)` for square matrices e and a over the field of one
-        size; None for any other pair."""
-        n = len(e.values)
-        if a.field is not e.field or not n == len(e.values[0]) == len(a.values) == len(a.values[0]):
-            return None
-        return self.operands(e, a)
 
 
 # The open entry table of this context, or None: one per context, so threads

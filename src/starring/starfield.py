@@ -14,9 +14,9 @@ directly.  `dot` is the sum of products that is one entry of a matrix
 product: it takes two sequences of raw values and returns the raw value of
 their sum of products.  The field also owns the scalars the harness samples:
 `unitary_scalars`, `non_unitary_scalars`, `has_non_unitary_scalar` and
-`random_scalar`.  A finite field walks its elements for the pools and draws
-uniformly; Q and Q(i) keep fixed pools and draw small numerators and
-denominators.  Ring flags (`f32`) and matrix-file ring headers (`fp2 3`)
+`random_scalar`.  A finite field generates its norm-1 group for the pools,
+serves the rest of its units by index, and draws uniformly; Q and Q(i)
+keep fixed pools and draw small numerators and denominators.  Ring flags (`f32`) and matrix-file ring headers (`fp2 3`)
 are parsed here too; every grammar here reads ASCII digits only.
 
 There is one field object per (kind, p): `FieldDescriptor(kind, p)` returns
@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import operator
 import re
+from bisect import bisect_right
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -171,24 +173,25 @@ class FieldDescriptor:
 
     # -- sampling (Q and Q(i) override these with fixed pools) ------------------
 
-    def _walk(self, unitary: bool):
-        # the invertible u with (u star(u) == 1) == unitary, lazily
-        one = self.one()
-        return (u for u in self.elements()
-                if not u.is_zero() and (u * u.star() == one) is unitary)
+    def _unitary_indices(self) -> list:
+        """The sorted enumeration indices of the norm-1 group, the u with
+        u star(u) = 1, made without walking the field."""
+        raise NotImplementedError
 
     def unitary_scalars(self) -> list:
-        """Invertible u with u star(u) = 1; diagonal cores of SEP elements."""
-        return list(self._walk(True))
+        """Invertible u with u star(u) = 1; diagonal cores of SEP elements.
+        Over a finite field, in enumeration order."""
+        return [self.element_at(i) for i in self._unitary_indices()]
 
-    def non_unitary_scalars(self) -> list:
-        """Invertible u with u star(u) != 1; these break partial isometry."""
-        return list(self._walk(False))
+    def non_unitary_scalars(self):
+        """Invertible u with u star(u) != 1; these break partial isometry.
+        Over a finite field, in enumeration order, as a sequence that makes
+        each element when it is read."""
+        return _Complement(self, self._unitary_indices())
 
     def has_non_unitary_scalar(self) -> bool:
-        """Whether non_unitary_scalars() is non-empty, stopping at the first
-        witness instead of walking the whole field."""
-        return next(self._walk(False), None) is not None
+        """Whether non_unitary_scalars() is non-empty."""
+        return self.size() - 1 > len(self._unitary_indices())
 
     def random_scalar(self, rng) -> "Scalar":
         """One scalar drawn with `rng`, a random.Random."""
@@ -422,6 +425,10 @@ class PrimeField(FieldDescriptor):
             raise IndexError(index)
         return Scalar(self, index)
 
+    def _unitary_indices(self):
+        # u^2 = 1: +-1, one element when p = 2
+        return sorted({1, self.p - 1})
+
 
 class QuadExtField(FieldDescriptor):
     """F_p[w]/(w^2 + ext_b*w + ext_c) with Frobenius.
@@ -518,8 +525,39 @@ class QuadExtField(FieldDescriptor):
             raise IndexError(index)
         return Scalar(self, index)
 
+    def _unitary_indices(self):
+        # The norm-1 group is cyclic of order p + 1: the image of x -> x^(p-1)
+        # = star(x) / x, whose kernel is F_p*.  So it is star(x) / x over one
+        # x per coset of F_p*: 1 (raw value p) and w + c (raw c p + 1) for
+        # each c in F_p.
+        p = self.p
+        return sorted([p] + [self.mul(self.star(x), self.inv(x)) for x in range(1, p * p, p)])
+
 
 _FIELD_CLASSES = {c.kind: c for c in (RationalField, GaussianField, PrimeField, QuadExtField)}
+
+
+class _Complement(Sequence):
+    """The nonzero elements of a finite field whose indices are not in a
+    sorted list `excluded`, in enumeration order; the k-th is made when it
+    is read, its index found by bisecting the excluded ones, so
+    `random.Random.choice` draws from it as from the list of them."""
+
+    def __init__(self, field: FieldDescriptor, excluded: list):
+        self.field = field
+        # _below[j]: how many of these indices lie below excluded[j]
+        self._below = [u - 1 - j for j, u in enumerate(excluded)]
+
+    def __len__(self):
+        return self.field.size() - 1 - len(self._below)
+
+    def __getitem__(self, k):
+        k = operator.index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError(k)
+        return self.field.element_at(k + 1 + bisect_right(self._below, k))
 
 
 class Scalar:

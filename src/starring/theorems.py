@@ -295,8 +295,12 @@ def registry_map() -> dict[str, TheoremEntry]:
 def target_holds(kind: Kind, b: InverseBundle) -> bool:
     """Whether b is in the class that entries of this kind target: is_pi(b)
     for Kind.PI, is_sep(b) for Kind.SEP.  Kept in the bundle, so each class
-    is tested once per bundle however many entries ask."""
-    return b.cached(kind, partial(is_pi if kind is Kind.PI else is_sep, b))
+    is tested once per bundle however many entries ask, and read from
+    `b.kept` on every later ask."""
+    verdict = b.kept.get(kind)
+    if verdict is None:
+        verdict = b.cached(kind, partial(is_pi if kind is Kind.PI else is_sep, b))
+    return verdict
 
 
 def evaluate(entry: TheoremEntry, b: InverseBundle) -> TheoremCase:
@@ -326,26 +330,30 @@ def check_left_right_duality(e: Matrix, a: Matrix) -> Verdict:
     Decided on raw values: e e = a e, and d d = d a with d = a - e, each read
     in row order up to the first entry that differs; each side is computed
     by the field's rules, independently of the other, and no memo entry is
-    made for the pair.  Inside an entry table for the field, the four
-    products are read from the table a row at a time, and the rows and
-    columns of d from its differences, by the numbers of the rows and
-    columns of e and a, which the two matrices keep.  Otherwise e e is the
-    product e * e, so an open memo supplies it or keeps it for e's next
-    partner, d is built as rows, and the other products are computed entry
-    by entry.  Operands of different fields or shapes raise what a - e
-    raises.
+    made for the pair.  Inside an entry table for the field, when e and a
+    are square of one size, the four products are read from the table a
+    row at a time, and the rows and columns of d from its differences, by
+    the numbers of the rows and columns that e and a keep in `_ids`,
+    numbered by the table on first use.  Otherwise e e is the product e * e,
+    so an open memo supplies it or keeps it for e's next partner, d is built
+    as rows, and the other products are computed entry by entry.  Operands
+    of different fields or shapes raise what a - e raises.
     """
-    table = entry_table(e.field)
-    operands = None if table is None else table.square_operands(e, a)
-    if operands is None:
+    field, n = e.field, len(e.values)
+    table = entry_table(field)
+    if (table is not None and a.field is field
+            and n == len(e.values[0]) == len(a.values) == len(a.values[0])):
+        e_ids, a_ids = e._ids or table.ids(e), a._ids or table.ids(a)
+    else:
+        e_ids = a_ids = None
+    if e_ids is None or a_ids is None:
         d = a.difference_rows(e)
-        field = e.field
         left = entries_agree(chain.from_iterable((e * e).values),
                              product_entries(field, a.values, e.columns))
         right = entries_agree(product_entries(field, d, tuple(zip(*d))),
                               product_entries(field, d, a.columns))
     else:
-        plane, (e_rows, e_cols, e_pick), (a_rows, a_cols, a_pick) = operands
+        plane, (e_rows, e_cols, e_pick), (a_rows, a_cols, a_pick) = table.planes[n], e_ids, a_ids
         # d's rows and columns: those of a less those of e
         d_rows, d_cols = plane.differences_of(a_rows, e_rows), plane.differences_of(a_cols, e_cols)
         left = plane.products_agree(e_rows, e_cols, e_pick, a_rows, e_cols, e_pick)

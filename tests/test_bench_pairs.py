@@ -138,3 +138,43 @@ def test_run_whole_ring_runs_the_cli_on_a_tree():
              for name, (ring, dim) in bench_pairs.WHOLE_RINGS.items()}
     assert sizes == {"M_3(F_2)": 512, "M_2(F_5)": 625, "M_2(F_7)": 2401, "M_2(F_9)": 6561,
                      "M_2(F_11)": 14641}
+
+
+def _ring_run(wall, rss, digest="d", exit_code=0):
+    # one run of a whole ring, shaped as run_whole_ring returns it
+    return {"exit": exit_code, "wallTime_s": wall, "sha256": digest, "peak_rss_mb": rss}
+
+
+def test_ring_summary_takes_the_medians_and_keeps_every_run():
+    runs = [_ring_run(9.8, 40.0), _ring_run(12.8, 41.5), _ring_run(10.1, 39.0)]
+    s = bench_pairs.ring_summary(runs)
+    assert s["wallTime_s"] == 10.1 and s["peak_rss_mb"] == 40.0
+    assert s["sha256"] == "d" and s["exit"] == 0
+    assert s["runs"] == runs
+    # two digests among the runs: none is the side's
+    s = bench_pairs.ring_summary([_ring_run(1.0, 1.0), _ring_run(2.0, 1.0, digest="e",
+                                                                 exit_code=1)])
+    assert s["sha256"] is None and s["exit"] == 1 and s["wallTime_s"] == 1.5
+
+
+def test_whole_rings_run_three_times_per_side_alternating(monkeypatch):
+    calls = []
+    walls = iter(range(1, 1000))
+
+    def fake_run(tree, ring, dim):
+        calls.append((tree, ring))
+        return _ring_run(float(next(walls)), 30.0, digest=ring)
+
+    monkeypatch.setattr(bench_pairs, "run_whole_ring", fake_run)
+    rings = bench_pairs.run_whole_rings({"parent": "P", "change": "C"})
+    assert bench_pairs.RING_RUNS == 3
+    first = bench_pairs.WHOLE_RINGS["M_3(F_2)"][0]
+    # per ring, the parent goes first, then the change, then the parent again
+    assert calls[:6] == [("P", first), ("C", first), ("C", first), ("P", first),
+                         ("P", first), ("C", first)]
+    assert len(calls) == 6 * len(bench_pairs.WHOLE_RINGS)
+    before, after = rings["before"]["M_3(F_2)"], rings["after"]["M_3(F_2)"]
+    assert [r["wallTime_s"] for r in before["runs"]] == [1.0, 4.0, 5.0]
+    assert [r["wallTime_s"] for r in after["runs"]] == [2.0, 3.0, 6.0]
+    assert before["wallTime_s"] == 4.0 and after["wallTime_s"] == 3.0
+    assert rings["digests_equal"]

@@ -317,7 +317,7 @@ def test_verify_missing_seed_exit_2(capsys):
 @pytest.mark.parametrize("command", ["verify", "enumerate"])
 @pytest.mark.parametrize("kind", ["sep", "ep", "pi"])
 def test_constructed_over_large_field_exit_2(capsys, command, kind):
-    # F_{10007^2} has about 10^8 elements; the scalar pools would walk them all
+    # F_{10007^2} has about 10^8 elements, past the budget of a constructed stream
     t0 = time.perf_counter()
     rc, out, err = run(capsys, command, "--ring", "f100072", "--dim", "2",
                        "--constructed", kind, "--count", "1", "--seed", "1")

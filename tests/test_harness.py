@@ -19,6 +19,7 @@ from starring.classify import classify, is_projection, projection_verdicts
 from starring.geninv import (InverseBundle, group_inverse, mp_inverse, verify_group,
                              verify_penrose)
 from starring.harness import (
+    BATTERY,
     EXHAUSTIVE_BUDGET,
     BudgetExceededError,
     GeneratorSpec,
@@ -104,8 +105,8 @@ def test_exhaustive_budget():
 @pytest.mark.parametrize("mode", [Mode.CONSTRUCTED_SEP, Mode.CONSTRUCTED_EP,
                                   Mode.CONSTRUCTED_PI])
 def test_constructed_budget_refuses_large_fields(mode):
-    # a constructed stream walks its field for the scalar pools; F_{1009^2}
-    # has 1,018,081 elements, just past the budget
+    # a constructed stream takes fields of at most the budget's size;
+    # F_{1009^2} has 1,018,081 elements, just past it
     big = quad_ext_field(1009)
     assert big.size() > EXHAUSTIVE_BUDGET
     t0 = time.perf_counter()
@@ -116,6 +117,21 @@ def test_constructed_budget_refuses_large_fields(mode):
     GeneratorSpec(mode, prime_field(999983), 2, sample_count=1, seed=1).validate()
     random_spec = GeneratorSpec(Mode.RANDOM, big, 2, sample_count=3, seed=1)
     assert len(list(generate(random_spec))) == 3
+
+
+def test_constructed_stream_lists_no_scalar_pool():
+    # one constructed-ep element over F_{997^2}, 994,009 elements: the norm-1
+    # group is generated and the other units are read by index, where
+    # listing them took about 100 MB
+    spec = GeneratorSpec(Mode.CONSTRUCTED_EP, quad_ext_field(997), 2, sample_count=1, seed=1)
+    tracemalloc.start()
+    try:
+        element, = generate(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert element.to_tokens() == [["0+0w", "0+0w"], ["0+0w", "599+242w"]]
 
 
 def test_sample_count_budget():
@@ -1038,6 +1054,44 @@ def test_tabled_and_untabled_reports_are_the_same_bytes(spec, monkeypatch):
 
     assert without_wall_time(tabled) == without_wall_time(plain)
     assert tabled.digest() == plain.digest()
+
+
+def _sweep_without_cache_layers(spec, monkeypatch):
+    """The sweep of spec with the product memo, the projection table and the
+    entry table all switched off: every product, adjoint, reduction and
+    projection test is computed afresh by the field's rules."""
+    with monkeypatch.context() as patched:
+        patched.setattr(harness_mod, "product_memo", contextlib.nullcontext)
+        patched.setattr(harness_mod, "dot_table", lambda field: contextlib.nullcontext())
+        patched.setattr(harness_mod, "projection_verdicts", lambda stream: contextlib.nullcontext(
+            {m: is_projection(m) for m in stream}))
+        memos, tables, verdict_tables = [], [], []
+
+        def evaluate(entry, bundle):
+            memos.append(matrix_mod._MEMO.get())
+            tables.append(matrix_mod._TABLE.get())
+            verdict_tables.append(classify_mod._VERDICTS.get())
+            return theorems_mod.evaluate(entry, bundle)
+
+        patched.setattr(harness_mod, "evaluate", evaluate)
+        report = sweep(spec, "all")
+    assert memos and set(memos) == set(tables) == set(verdict_tables) == {None}
+    return report
+
+
+@pytest.mark.parametrize("spec", [
+    BATTERY["exhaustive-f2-dim2"], BATTERY["exhaustive-f3-dim2"], BATTERY["exhaustive-f4-dim2"],
+    GeneratorSpec(Mode.EXHAUSTIVE, F2, 3), GeneratorSpec(Mode.RANDOM, RATIONAL, 2, 20, 7),
+], ids=["m2-f2", "m2-f3", "m2-f4", "m3-f2", "random-q"])
+def test_cache_layers_change_no_report_bytes(spec, monkeypatch):
+    cached = sweep(spec, "all")
+    plain = _sweep_without_cache_layers(spec, monkeypatch)
+
+    def without_wall_time(report):
+        return [ln for ln in report.to_json().splitlines() if '"wallTime"' not in ln]
+
+    assert without_wall_time(cached) == without_wall_time(plain)
+    assert cached.digest() == plain.digest()
 
 
 def _fresh_reduction(field, values):

@@ -11,6 +11,7 @@ from starring.matrix import (
     Matrix,
     MatrixParseError,
     ShapeError,
+    dot_table,
     parse_inline,
     parse_matrix,
     product_memo,
@@ -357,6 +358,81 @@ def test_products_equal_shapes_and_fields(field):
                             ((x, y), (x, y))):
             with pytest.raises(eager.type, match=f"^{re.escape(str(eager.value))}$"):
                 products_equal(left, right)
+
+
+# -- reads from an entry table ----------------------------------------------------
+
+TABLED = [(F3, 2, prime_field(5)), (F2, 3, F3)]  # field, n and a field of the same raw ints
+
+
+def _rand_rect(field, rows, cols, rng):
+    return Matrix(field, [[rand_scalar(field, rng) for _ in range(cols)] for _ in range(rows)])
+
+
+@pytest.mark.parametrize("field, n, other", TABLED, ids=["m2-f3", "m3-f2"])
+def test_tabled_comparisons_agree_with_untabled(field, n, other):
+    rng = random.Random(n)
+    x, y, z = (rand_matrix(field, n, rng) for _ in range(3))
+    f, g = _rand_rect(field, n, n - 1, rng), _rand_rect(field, n - 1, n, rng)
+    xy, fg = Matrix(field, (x * y).rows), Matrix(field, (f * g).rows)  # built sides
+
+    def moved(m):  # the same raw ints over the other field
+        return Matrix.from_ints(other, m.values)
+
+    bigger = Matrix.zeros(field, n + 1)
+    cases = [((x, y), xy), ((x, y), z), (z, (x, y)),  # a pair against a built side
+             ((x, y), (y, x)), ((x, y), (x, y)), ((x, z), (y, z)),  # two pairs
+             ((f, g), fg), ((f, g), (x, y)), ((g, f), (y, z)),  # rectangular factors
+             ((x, y), moved(xy)), ((x, y), (moved(x), moved(y))),  # two fields
+             ((x, y), bigger), ((g, f), (x, y)), ((f, g), (g, f))]  # two shapes
+    untabled = [products_equal(lhs, rhs) for lhs, rhs in cases]
+    assert untabled[0] and untabled[4] and untabled[6] and not any(untabled[9:])
+    with dot_table(field) as table:
+        copies = {id(m): Matrix(field, m.rows) for m in (x, y, z, f, g)}
+
+        def copied(side):
+            return tuple(copies.get(id(m), m) for m in side) if isinstance(side, tuple) else side
+
+        # a pair whose factors the table has not numbered yet is numbered there
+        assert all(m._ids is None for m in copies.values())
+        assert [products_equal(copied(lhs), copied(rhs)) for lhs, rhs in cases] == untabled
+        assert all(m._ids is not None for m in copies.values())
+        # and read the same once numbered, from the plane of each row length
+        assert [products_equal(copied(lhs), copied(rhs)) for lhs, rhs in cases] == untabled
+        for k in (n - 1, n):
+            assert any(slot is not None for row in table.planes[k].dots for slot in row)
+        # a pair that cannot be multiplied raises what x * y raises
+        numbered = copies[id(x)]
+        with pytest.raises(ShapeError):
+            products_equal((numbered, bigger), numbered)
+        with pytest.raises(FieldMismatchError):
+            products_equal((numbered, moved(x)), numbered)
+        # a pair equal to a built side keeps that side as its product
+        with product_memo():
+            assert products_equal(copied((x, y)), xy)
+            assert copies[id(x)] * copies[id(y)] is xy
+
+
+@pytest.mark.parametrize("field, n, other", TABLED, ids=["m2-f3", "m3-f2"])
+def test_tabled_products_of_rank_factors_agree_with_untabled(field, n, other):
+    rng = random.Random(n + 10)
+    seen = 0
+    for _ in range(30):
+        a = _rand_rect(field, n, n - 1, rng) * _rand_rect(field, n - 1, n, rng)
+        if a.is_zero():
+            continue
+        fact = a.full_rank_factorize()
+        gf, fg = (fact.g * fact.f).values, (fact.f * fact.g).values
+        assert fg == a.values and fact.rank < n
+        with dot_table(field) as table:
+            f, g = Matrix(field, fact.f.rows), Matrix(field, fact.g.rows)
+            assert (g * f).values == gf and (f * g).values == a.values
+            assert f._ids is not None and g._ids is not None
+            # the products are the table's matrices of their values
+            assert g * f is table.matrices[gf] and f * g is table.matrices[fg]
+            assert products_equal((f, g), a) and products_equal((g, f), Matrix(field, (g * f).rows))
+        seen += 1
+    assert seen >= 10
 
 
 # -- text format ------------------------------------------------------------------

@@ -535,10 +535,32 @@ def test_scalar_pools_partition_invertibles(field):
     # a finite field splits its nonzero elements, each pool in enumeration order
     nonzero = [u for u in field.elements() if not u.is_zero()]
     assert units == [u for u in nonzero if u * u.star() == one]
-    assert others == [u for u in nonzero if u * u.star() != one]
+    assert list(others) == [u for u in nonzero if u * u.star() != one]
     # the norm-1 group: +-1 in F_p, the p + 1 roots of u^(p+1) = 1 in F_{p^2}
     quad = field.kind is FieldKind.QUAD_EXT
     assert len(units) == (field.p + 1 if quad else len({1, field.p - 1}))
+
+
+def test_scalar_pools_served_by_index():
+    # F_{997^2}: the pools are read by index, never listed in full
+    field = quad_ext_field(997)
+    units, others = field.unitary_scalars(), field.non_unitary_scalars()
+    one, p = field.one(), field.p
+    assert len(units) == p + 1 and len(others) == p * p - 1 - (p + 1)
+    assert all(u * u.star() == one for u in units)
+    indices = [u.value for u in units]
+    assert indices == sorted(set(indices)) and 0 not in indices
+    rng = random.Random(5)
+    for k in [0, 1, len(others) - 1, -1, *(rng.randrange(len(others)) for _ in range(200))]:
+        u = others[k]
+        k %= len(others)
+        # the k-th unit of norm != 1: k + 1 nonzero indices at or below it,
+        # less the norm-1 ones
+        assert u * u.star() != one and not u.is_zero()
+        assert u.value == k + 1 + sum(i < u.value for i in indices)
+    for k in (len(others), -len(others) - 1):
+        with pytest.raises(IndexError):
+            others[k]
 
 
 def test_is_prime():
