@@ -91,8 +91,6 @@ class GeneratorSpec:
             raise BudgetExceededError(
                 f"sample count {self.sample_count} exceeds the budget {EXHAUSTIVE_BUDGET}")
         if self.mode is not Mode.RANDOM and size is not None and size > EXHAUSTIVE_BUDGET:
-            # kept from when the scalar pools were a walk of the field; they
-            # are now made without one, so this bound could be lifted
             raise BudgetExceededError(
                 f"{self.mode.value} mode takes fields within the budget of "
                 f"{EXHAUSTIVE_BUDGET} elements, and {self.field.name} has {size}")

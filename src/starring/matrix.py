@@ -205,8 +205,8 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         return Matrix._unchecked(self.field, self._entrywise(self.field.add, other))
 
-    # The four operations the memo keeps by their operands look it up in
-    # their own frame, as `recall` does for the rest.
+    # The four operations the memo keeps by their operands ask it in their
+    # own frame, not through `recall`: they are most of a sweep's asks.
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         memo = _MEMO.get()
