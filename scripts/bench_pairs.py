@@ -16,17 +16,18 @@ the output records).
   first-seed + N - 1, the parent going first in even-numbered pairs and the
   change in odd-numbered ones.  Each workload's runs and summary replace
   that workload's entry in the output.
-* `--trace` runs one traced seed-1 unit of every BENCHMARK.json workload
-  on each side and records its per-layer metrics.
+* `--trace` runs a traced seed-1 unit of every BENCHMARK.json workload
+  SIDE_RUNS times per side, alternating the sides and the side that goes
+  first, and records every unit's per-layer metrics and each side's median
+  of each.
 * `--battery` runs scripts/run_verification.py on each side and records
   every report digest, its wall time and the total.  It also runs
   `starring verify --exhaustive --format json` for each whole ring in
-  WHOLE_RINGS, which the battery does not sweep, RING_RUNS times per side,
-  alternating the sides and the side that goes first, and records under
-  "whole_rings" each run's `wallTime`, the sha256 of its report without
-  the `wallTime` line and its process's peak RSS, each side's median
-  `wallTime` and peak RSS, and whether every run of both sides has one
-  digest.
+  WHOLE_RINGS, which the battery does not sweep, SIDE_RUNS times per side,
+  alternating as `--trace` does, and records under "whole_rings" each
+  run's `wallTime`, the sha256 of its report without the `wallTime` line
+  and its process's peak RSS, each side's median `wallTime` and peak RSS,
+  and whether every run of both sides has one digest.
 
 The output JSON is read first if it exists, so several invocations build up
 one file.  For every workload and end-to-end metric the summary gives each
@@ -59,9 +60,9 @@ BATTERY_TOTAL = re.compile(r"^total wall time ([\d.]+)s; (.*)$")
 #: the whole rings timed with the battery: name -> (--ring, --dim)
 WHOLE_RINGS = {"M_3(F_2)": ("f2", 3), "M_2(F_5)": ("f5", 2), "M_2(F_7)": ("f7", 2),
                "M_2(F_9)": ("f32", 2), "M_2(F_11)": ("f11", 2)}
-#: runs of each whole ring per side: one run cannot resolve a 10-20% change
-#: on a host whose speed drifts between runs
-RING_RUNS = 3
+#: runs per side of each whole ring and each traced unit: one run cannot
+#: resolve a 10-20% change on a host whose speed drifts between runs
+SIDE_RUNS = 3
 
 
 def quartiles(values) -> dict:
@@ -207,21 +208,39 @@ def ring_summary(runs) -> dict:
             "runs": list(runs)}
 
 
+def alternating(trees: dict, run) -> dict:
+    """run(tree) SIDE_RUNS times per side, the sides alternating and the
+    parent going first in even-numbered rounds: each side's results, in
+    order."""
+    runs = {"parent": [], "change": []}
+    for k in range(SIDE_RUNS):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            runs[side].append(run(trees[side]))
+    return runs
+
+
+def trace_summary(runs) -> dict:
+    """One side's traced units of one workload, as `run_bench` returns
+    them: whether every unit ran correctly, each metric's median and the
+    units themselves."""
+    return {"correct": all(run["correct"] for run in runs),
+            "metrics": {name: statistics.median(run["metrics"][name] for run in runs)
+                        for name in runs[0]["metrics"]},
+            "runs": list(runs)}
+
+
 def run_whole_rings(trees: dict) -> dict:
-    """Each of WHOLE_RINGS RING_RUNS times per side, the sides alternating
-    and the parent going first in even-numbered rounds: per side ("before"
-    the parent, "after" the change) and ring, its `ring_summary`, and
-    whether every run of both sides has one digest."""
-    runs = {side: {name: [] for name in WHOLE_RINGS} for side in ("parent", "change")}
-    for name, (ring, dim) in WHOLE_RINGS.items():
-        for k in range(RING_RUNS):
-            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                runs[side][name].append(run_whole_ring(trees[side], ring, dim))
-    rings = {key: {name: ring_summary(runs[side][name]) for name in WHOLE_RINGS}
+    """Each of WHOLE_RINGS, its runs `alternating`: per side ("before" the
+    parent, "after" the change) and ring, its `ring_summary`, and whether
+    every run of both sides has one digest."""
+    runs = {name: alternating(trees, lambda tree, ring=ring, dim=dim:
+                              run_whole_ring(tree, ring, dim))
+            for name, (ring, dim) in WHOLE_RINGS.items()}
+    rings = {key: {name: ring_summary(runs[name][side]) for name in WHOLE_RINGS}
              for key, side in (("before", "parent"), ("after", "change"))}
-    digests = {name: {run["sha256"] for side in runs for run in runs[side][name]}
-               for name in WHOLE_RINGS}
-    rings["digests_equal"] = all(len(d) == 1 for d in digests.values())
+    rings["digests_equal"] = all(
+        len({run["sha256"] for side in sides.values() for run in side}) == 1
+        for sides in runs.values())
     return rings
 
 
@@ -246,7 +265,7 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=21)
     parser.add_argument("--trace", action="store_true",
-                        help="record one traced seed-1 unit per workload on each side")
+                        help="record traced seed-1 units per workload on each side")
     parser.add_argument("--battery", action="store_true",
                         help="record the battery digests and times on each side")
     args = parser.parse_args()
@@ -288,10 +307,11 @@ def main() -> int:
             }
             save()
         if args.trace:
-            doc["traced_seed1"] = {
-                workload: {side: run_bench(trees[side], workload, 1, True)
-                           for side in ("parent", "change")}
-                for workload in known}
+            doc["traced_seed1"] = {}
+            for workload in known:
+                runs = alternating(trees, lambda tree: run_bench(tree, workload, 1, True))
+                doc["traced_seed1"][workload] = {side: trace_summary(runs[side])
+                                                 for side in runs}
             save()
         if args.battery:
             battery = {"before": run_battery(parent_tree), "after": run_battery(ROOT)}

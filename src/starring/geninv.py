@@ -85,12 +85,13 @@ def group_inverse(a: Matrix) -> Matrix | None:
 class InverseBundle:
     """An element together with its adjoint and optional MP/group inverses.
 
-    `cached` keeps, per bundle, the shared values that registry entries
-    build from more than a product, difference, negation or adjoint: the
-    derived elements, which take MP and group inverses, and the verdict of
-    each target class (`theorems.target_holds`), in the dict `kept`, by key.
-    Everything else they share is left to the product memo that `sweep`
-    opens per element before it computes the bundle.
+    The dict `kept` holds, per bundle and by key, the shared values that
+    registry entries build from more than a product, difference, negation
+    or adjoint: the derived elements, which take MP and group inverses
+    (through `cached`), and the verdict of each target class
+    (`theorems.target_holds`).  Everything else they share is left to the
+    product memo that `sweep` opens per element before it computes the
+    bundle.
     """
 
     __slots__ = ("a", "star", "mp", "group", "has_mp", "has_group", "kept")

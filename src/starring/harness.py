@@ -330,8 +330,8 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
     partners, builds its difference as raw rows and reads its other
     products entry by entry; under one, it reads all four products and the
     difference from the table, in its own frame, by the row and column
-    numbers that e and a keep.  A memo holds its results only until its element is done, and it is per
-    thread.
+    numbers that e and a keep.  A memo holds its results only until its
+    element is done, and it is per thread.
 
     Before the loop, `projection_verdicts(stream)` tests each distinct
     stream value once for being a projection; the L2.8 projections are read
@@ -352,8 +352,8 @@ def sweep(spec: GeneratorSpec, entry_ids="all") -> VerificationReport:
     row difference and row reduction is read from the table, each distinct
     one computed once: a product, and each side of a compared product, one
     pick per row of its left factor, in the frame that asks for it, by the
-    numbers its factors keep.  Its planes have a slot for each of at most the sum
-    of q^(2r) over r <= n pairs of rows, below 4/3 q^(2n) <= 4/3
+    numbers its factors keep.  Its planes have a slot for each of at most
+    the sum of q^(2r) over r <= n pairs of rows, below 4/3 q^(2n) <= 4/3
     len(stream), for a dot and for a difference, 8 bytes each, so about
     15 MB at the M_2(F_31) ceiling.  Each matrix it numbers, about one per
     ring element, keeps about 0.25 KB of row and column numbers and a

@@ -16,8 +16,9 @@ their sum of products.  The field also owns the scalars the harness samples:
 `unitary_scalars`, `non_unitary_scalars`, `has_non_unitary_scalar` and
 `random_scalar`.  A finite field generates its norm-1 group for the pools,
 serves the rest of its units by index, and draws uniformly; Q and Q(i)
-keep fixed pools and draw small numerators and denominators.  Ring flags (`f32`) and matrix-file ring headers (`fp2 3`)
-are parsed here too; every grammar here reads ASCII digits only.
+keep fixed pools and draw small numerators and denominators.  Ring flags
+(`f32`) and matrix-file ring headers (`fp2 3`) are parsed here too; every
+grammar here reads ASCII digits only.
 
 There is one field object per (kind, p): `FieldDescriptor(kind, p)` returns
 it, so two fields are equal exactly when they are the same object.

@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial, reduce
+from functools import reduce
 from itertools import chain, groupby
 from typing import Callable, NamedTuple
 
@@ -299,7 +299,7 @@ def target_holds(kind: Kind, b: InverseBundle) -> bool:
     `b.kept` on every later ask."""
     verdict = b.kept.get(kind)
     if verdict is None:
-        verdict = b.cached(kind, partial(is_pi if kind is Kind.PI else is_sep, b))
+        verdict = b.kept[kind] = (is_pi if kind is Kind.PI else is_sep)(b)
     return verdict
 
 

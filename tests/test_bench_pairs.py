@@ -167,7 +167,7 @@ def test_whole_rings_run_three_times_per_side_alternating(monkeypatch):
 
     monkeypatch.setattr(bench_pairs, "run_whole_ring", fake_run)
     rings = bench_pairs.run_whole_rings({"parent": "P", "change": "C"})
-    assert bench_pairs.RING_RUNS == 3
+    assert bench_pairs.SIDE_RUNS == 3
     first = bench_pairs.WHOLE_RINGS["M_3(F_2)"][0]
     # per ring, the parent goes first, then the change, then the parent again
     assert calls[:6] == [("P", first), ("C", first), ("C", first), ("P", first),
@@ -178,3 +178,26 @@ def test_whole_rings_run_three_times_per_side_alternating(monkeypatch):
     assert [r["wallTime_s"] for r in after["runs"]] == [2.0, 3.0, 6.0]
     assert before["wallTime_s"] == 4.0 and after["wallTime_s"] == 3.0
     assert rings["digests_equal"]
+    # a side whose report differs from the other's
+    monkeypatch.setattr(bench_pairs, "run_whole_ring",
+                        lambda tree, ring, dim: _ring_run(1.0, 30.0, digest=tree + ring))
+    assert not bench_pairs.run_whole_rings({"parent": "P", "change": "C"})["digests_equal"]
+
+
+def test_traced_units_alternate_and_take_each_metrics_median():
+    calls, units = [], iter(range(1, 7))
+
+    def traced(tree):
+        calls.append(tree)
+        k = next(units)
+        return {"correct": k != 4, "attempted": 10, "failed": 0,
+                "metrics": {"matrix.mul_s": float(k), "matrix.mul_calls": 100}}
+
+    runs = bench_pairs.alternating({"parent": "P", "change": "C"}, traced)
+    assert calls == ["P", "C", "C", "P", "P", "C"]
+    parent, change = (bench_pairs.trace_summary(runs[side]) for side in ("parent", "change"))
+    assert [r["metrics"]["matrix.mul_s"] for r in parent["runs"]] == [1.0, 4.0, 5.0]
+    assert parent["metrics"] == {"matrix.mul_s": 4.0, "matrix.mul_calls": 100}
+    assert change["metrics"] == {"matrix.mul_s": 3.0, "matrix.mul_calls": 100}
+    # one unit that ran incorrectly makes its side incorrect
+    assert not parent["correct"] and change["correct"]

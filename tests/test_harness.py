@@ -1063,8 +1063,9 @@ def _sweep_without_cache_layers(spec, monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(harness_mod, "product_memo", contextlib.nullcontext)
         patched.setattr(harness_mod, "dot_table", lambda field: contextlib.nullcontext())
-        patched.setattr(harness_mod, "projection_verdicts", lambda stream: contextlib.nullcontext(
-            {m: is_projection(m) for m in stream}))
+        patched.setattr(harness_mod, "projection_verdicts",
+                        lambda stream: contextlib.nullcontext({m: is_projection(m)
+                                                               for m in stream}))
         memos, tables, verdict_tables = [], [], []
 
         def evaluate(entry, bundle):

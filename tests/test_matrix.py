@@ -391,7 +391,9 @@ def test_tabled_comparisons_agree_with_untabled(field, n, other):
         copies = {id(m): Matrix(field, m.rows) for m in (x, y, z, f, g)}
 
         def copied(side):
-            return tuple(copies.get(id(m), m) for m in side) if isinstance(side, tuple) else side
+            if isinstance(side, tuple):
+                return tuple(copies.get(id(m), m) for m in side)
+            return side
 
         # a pair whose factors the table has not numbered yet is numbered there
         assert all(m._ids is None for m in copies.values())
@@ -430,7 +432,8 @@ def test_tabled_products_of_rank_factors_agree_with_untabled(field, n, other):
             assert f._ids is not None and g._ids is not None
             # the products are the table's matrices of their values
             assert g * f is table.matrices[gf] and f * g is table.matrices[fg]
-            assert products_equal((f, g), a) and products_equal((g, f), Matrix(field, (g * f).rows))
+            assert products_equal((f, g), a)
+            assert products_equal((g, f), Matrix(field, (g * f).rows))
         seen += 1
     assert seen >= 10
 
